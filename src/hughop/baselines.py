@@ -4,13 +4,13 @@ Metropolis (optionally with a local Hessian covariance), and MALA."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
 
 from .exceptions import FactorizationError, HugHopError, NonFiniteInputError, TrajectoryError
-from .metric import factor, local_covariance
+from .metric import checked_factor, local_covariance
 from .state import ChainState, StepOutcome, metropolis_accept
 from .targets import TargetModel
 
@@ -69,20 +69,27 @@ class RwmParams:
 
     ``local_cov`` is ``"none"`` (isotropic), ``"fixed"`` (covariance ``cov``)
     or ``"hessian"`` (local covariance from the Hessian, floor ``eps``).
+    A fixed ``cov`` must be a symmetric positive-definite matrix; its factor
+    is computed once, at construction, into ``cov_factor``.
     """
 
     step_scale: float
     local_cov: str = "none"
     cov: np.ndarray | None = None
     eps: float = 1e-6
+    cov_factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.step_scale <= 0:
             raise ValueError("step_scale must be positive")
         if self.local_cov not in ("none", "fixed", "hessian"):
             raise ValueError("local_cov must be 'none', 'fixed' or 'hessian'")
-        if self.local_cov == "fixed" and self.cov is None:
-            raise ValueError("local_cov='fixed' requires cov")
+        if self.local_cov == "fixed":
+            if self.cov is None:
+                raise ValueError("local_cov='fixed' requires cov")
+            cov, a0 = checked_factor(self.cov, "cov")
+            object.__setattr__(self, "cov", cov)
+            object.__setattr__(self, "cov_factor", a0)
 
 
 @dataclass(frozen=True)
@@ -221,8 +228,7 @@ def rwm_step(
                 y = x + s * z
                 correction = 0.0
             elif params.local_cov == "fixed":
-                a0 = factor(np.asarray(params.cov, dtype=float))
-                y = x + s * (a0.T @ z)
+                y = x + s * (params.cov_factor.T @ z)
                 correction = 0.0
             else:
                 metric_x = local_covariance(target.hessian(x), params.eps)

@@ -391,8 +391,10 @@ def grid_tune(config: ExperimentConfig, objective=None) -> TuneResult:
     paths, runs ``pilot_iterations`` sweeps (with ``pilot_burn_fraction``
     discarded) on its own spawned RNG stream, and is ranked by the declared
     objective: the geometric mean of min ESS(X) and ESS(log pi), per second
-    by default or per iteration.  Degenerate cells score NaN and are kept in
-    the table with their failure notes.
+    by default or per iteration.  Degenerate cells (a series ESS cannot be
+    estimated on, or parameter values the kernel rejects) score NaN and are
+    kept in the table with their failure notes; any other error, such as a
+    dimension mismatch or a non-finite input, propagates.
     """
     if not config.grid:
         raise ConfigError("grid", "grid_tune needs a nonempty grid")
@@ -442,7 +444,7 @@ def grid_tune(config: ExperimentConfig, objective=None) -> TuneResult:
                 acceptance=summary.acceptance,
                 note="; ".join(summary.notes),
             )
-        except (DegenerateSeriesError, ValueError) as exc:
+        except (DegenerateSeriesError, ConfigError) as exc:
             score = np.nan
             row.update(score=score, note=str(exc))
         table.append(row)

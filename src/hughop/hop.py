@@ -182,7 +182,7 @@ def hop_propose(
     g = np.asarray(g, dtype=float)
     if metric is None:
         return x + _whitened_jump(g, params, rng)
-    g_t = metric.a @ g
+    g_t = metric.factor_dot(g)
     return x + metric.unwhiten(_whitened_jump(g_t, params, rng))
 
 
@@ -206,7 +206,7 @@ def hop_log_density(
         raise NonFiniteInputError("hop_log_density: non-finite input")
     if metric is None:
         return _whitened_log_density(y - x, g, params)
-    g_t = metric.a @ g
+    g_t = metric.factor_dot(g)
     w_t = metric.whiten(y - x)
     density = _whitened_log_density(w_t, g_t, params)
     density.log_density -= 0.5 * metric.log_det

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import FactorizationError, HugHopError, NonFiniteInputError, TrajectoryError
-from .metric import LocalMetric, factor, local_covariance
+from .metric import LocalMetric, checked_factor, local_covariance
 from .state import ChainState, StepOutcome, metropolis_accept
 from .targets import TargetModel
 
@@ -64,6 +64,9 @@ class HugParams:
             unreflected, keeping the bounce map an involution where the
             reflection direction is undefined.
         record_bounces: store every bounce point in the outcome.
+        precond_factor: the factor of ``precond_cov`` (see
+            :func:`~hughop.metric.factor`), computed once at construction;
+            not an argument.
     """
 
     total_time: float
@@ -74,6 +77,9 @@ class HugParams:
     velocity: str = "local"
     zero_grad_tol: float = 1e-12
     record_bounces: bool = False
+    precond_factor: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.total_time < 0:
@@ -85,10 +91,9 @@ class HugParams:
         if self.mode == "precond":
             if self.precond_cov is None:
                 raise ValueError("precond mode requires precond_cov")
-            cov = np.asarray(self.precond_cov, dtype=float)
-            if np.max(np.abs(cov - cov.T)) > 1e-10:
-                raise ValueError("precond_cov must be symmetric")
+            cov, a0 = checked_factor(self.precond_cov, "precond_cov")
             object.__setattr__(self, "precond_cov", cov)
+            object.__setattr__(self, "precond_factor", a0)
         if self.velocity not in ("local", "isotropic"):
             raise ValueError("velocity must be 'local' or 'isotropic'")
 
@@ -138,20 +143,21 @@ def reflect(v: np.ndarray, g: np.ndarray, zero_grad_tol: float = 1e-12) -> np.nd
 def reflect_in_metric(
     v: np.ndarray,
     g: np.ndarray,
-    sigma: np.ndarray,
+    sigma: np.ndarray | LocalMetric,
     zero_grad_tol: float = 1e-12,
 ) -> np.ndarray:
     """Reflection reshaped by an SPD covariance: v - 2 (v.g)/(g' S g) S g.
 
     Equivalent to whitening with any factor of ``sigma``, reflecting, and
-    mapping back.  A quadratic form g' S g at or below ``zero_grad_tol``
-    falls back to the identity.
+    mapping back.  ``sigma`` is a dense matrix or a :class:`LocalMetric`,
+    whose S g comes from its spectral form.  A quadratic form g' S g at or
+    below ``zero_grad_tol`` falls back to the identity.
     """
     v = np.asarray(v, dtype=float)
     g = np.asarray(g, dtype=float)
     if not (np.isfinite(v).all() and np.isfinite(g).all()):
         raise NonFiniteInputError("reflect_in_metric: non-finite input")
-    sg = sigma @ g
+    sg = sigma.cov_dot(g) if isinstance(sigma, LocalMetric) else sigma @ g
     denom = g @ sg
     if not np.isfinite(denom) or denom <= zero_grad_tol:
         return v.copy()
@@ -185,7 +191,7 @@ def _bounce_loop(
             v = reflect_in_metric(v, g, params.precond_cov, params.zero_grad_tol)
         else:
             metric = local_covariance(target.hessian(x_mid), params.eps)
-            v = reflect_in_metric(v, g, metric.sigma, params.zero_grad_tol)
+            v = reflect_in_metric(v, g, metric, params.zero_grad_tol)
         if checked and not np.isfinite(v).all():
             raise TrajectoryError("non-finite velocity after bounce", b)
         x = x_mid + half * v
@@ -240,8 +246,8 @@ def _draw_velocity(
     x0: np.ndarray,
     params: HugParams,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, float, LocalMetric | None, np.ndarray | None]:
-    """Sample v0 ~ q(.|x0) and return (v0, log q(v0|x0), metric, chol of cov).
+) -> tuple[np.ndarray, float]:
+    """Sample v0 ~ q(.|x0) and return (v0, log q(v0|x0)).
 
     The returned log-density drops the dimension constant, which cancels in
     the acceptance ratio.
@@ -249,14 +255,11 @@ def _draw_velocity(
     d = x0.size
     z = rng.standard_normal(d)
     if params.mode == "plain" or (params.mode == "hessian" and params.velocity == "isotropic"):
-        return z, -0.5 * float(z @ z), None, None
+        return z, -0.5 * float(z @ z)
     if params.mode == "precond":
-        a0 = factor(params.precond_cov)
-        return a0.T @ z, -0.5 * float(z @ z), None, a0
+        return params.precond_factor.T @ z, -0.5 * float(z @ z)
     metric = local_covariance(target.hessian(x0), params.eps)
-    v0 = metric.unwhiten(z)
-    logq = -0.5 * float(z @ z) - 0.5 * metric.log_det
-    return v0, logq, metric, None
+    return metric.unwhiten(z), -0.5 * float(z @ z) - 0.5 * metric.log_det
 
 
 def _velocity_log_density(
@@ -264,13 +267,12 @@ def _velocity_log_density(
     x: np.ndarray,
     v: np.ndarray,
     params: HugParams,
-    a0: np.ndarray | None,
 ) -> float:
     """log q(v|x) under the mode's velocity distribution (constants dropped)."""
     if params.mode == "plain" or (params.mode == "hessian" and params.velocity == "isotropic"):
         return -0.5 * float(v @ v)
     if params.mode == "precond":
-        w = np.linalg.solve(a0.T, v)
+        w = np.linalg.solve(params.precond_factor.T, v)
         return -0.5 * float(w @ w)
     metric = local_covariance(target.hessian(x), params.eps)
     return -0.5 * metric.quad_inv(v) - 0.5 * metric.log_det
@@ -296,7 +298,7 @@ def hug_kernel_step(
     proposal_logp = None
 
     try:
-        v0, logq0, _, a0 = _draw_velocity(target, x0, params, rng)
+        v0, logq0 = _draw_velocity(target, x0, params, rng)
     except FactorizationError:
         logger.warning("hug: velocity draw failed at current state; rejecting")
         v0 = None
@@ -306,7 +308,7 @@ def hug_kernel_step(
             traj = hug_trajectory(target, x0, v0, params)
             with np.errstate(over="ignore", invalid="ignore"):
                 proposal_logp = target.log_density(traj.x)
-                logq_end = _velocity_log_density(target, traj.x, traj.v, params, a0)
+                logq_end = _velocity_log_density(target, traj.x, traj.v, params)
             raw = (proposal_logp + logq_end) - (state.logp + logq0)
             log_alpha = min(0.0, raw) if np.isfinite(raw) else -np.inf
         except (TrajectoryError, FactorizationError, NonFiniteInputError) as exc:

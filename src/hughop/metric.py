@@ -3,8 +3,14 @@
 When the negative Hessian is safely positive definite the local covariance
 is its inverse; otherwise curvature magnitudes are kept through a spectral
 regularisation so the result is always usable as a proposal covariance.
-The factor ``A`` satisfies A' A = Sigma, which is the only property the
-reflection and whitening algebra relies on.
+
+The covariance is kept in the spectral form Sigma = V diag(s) V' that the
+one eigendecomposition of the Hessian already gives.  Its factor
+A = diag(sqrt s) V' satisfies A' A = Sigma, which is the only property the
+reflection and whitening algebra relies on, so every product the kernels
+need (whitening, Sigma g, A g) costs O(d^2) and no further cubic step runs.
+A Hessian whose off-diagonal entries are all exactly zero is its own
+eigendecomposition and needs no ``eigh`` at all.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 
 from .exceptions import FactorizationError, NonFiniteInputError
 
-__all__ = ["LocalMetric", "local_covariance", "factor"]
+__all__ = ["LocalMetric", "local_covariance", "factor", "checked_factor"]
 
 # eigenvalue magnitudes below this are clamped before inversion so that
 # inflection points do not overflow
@@ -24,41 +30,66 @@ EIG_FLOOR = 1e-12
 
 @dataclass
 class LocalMetric:
-    """A local covariance, a matrix square root of it, and its log-det.
+    """A local covariance Sigma = V diag(s) V' and its factor A = diag(sqrt s) V'.
 
     Attributes:
-        sigma: d x d symmetric positive-definite covariance.
-        a: d x d factor with a.T @ a == sigma.
-        log_det: log determinant of sigma.
-        eps: regularisation floor used to build sigma.
+        eigvals: the covariance eigenvalues s, all positive.
+        eigvecs: d x d orthonormal V; column i belongs to ``eigvals[i]``.
+        log_det: log determinant of Sigma, the sum of log s.
+        eps: regularisation floor used to build Sigma.
         regularized: True when the spectral-regularisation branch was taken.
+
+    ``sigma`` and ``a`` build the dense matrices on demand; the kernels use
+    the O(d^2) products below instead.
     """
 
-    sigma: np.ndarray
-    a: np.ndarray
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
     log_det: float
     eps: float
     regularized: bool = False
-    _at_inv: np.ndarray | None = field(default=None, repr=False)
+    _root: np.ndarray = field(init=False, repr=False, compare=False)
+    _inv_root: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._root = np.sqrt(self.eigvals)
+        self._inv_root = 1.0 / self._root
 
     @property
     def dim(self) -> int:
-        return self.sigma.shape[0]
+        return self.eigvals.size
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """The dense covariance V diag(s) V'."""
+        sigma = (self.eigvecs * self.eigvals) @ self.eigvecs.T
+        return 0.5 * (sigma + sigma.T)
+
+    @property
+    def a(self) -> np.ndarray:
+        """The dense factor A = diag(sqrt s) V', with a.T @ a == sigma."""
+        return (self.eigvecs * self._root).T
 
     def whiten(self, v: np.ndarray) -> np.ndarray:
-        """Map v to (A^T)^-1 v, the coordinates in which sigma is identity."""
-        if self._at_inv is None:
-            self._at_inv = np.linalg.inv(self.a.T)
-        return self._at_inv @ v
+        """Map v to (A')^-1 v = (V' v) / sqrt s, where sigma is the identity."""
+        return (self.eigvecs.T @ v) * self._inv_root
 
     def unwhiten(self, w: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`whiten`: returns A^T w."""
-        return self.a.T @ w
+        """Inverse of :meth:`whiten`: returns A' w = V (sqrt s * w)."""
+        return self.eigvecs @ (self._root * w)
 
     def quad_inv(self, v: np.ndarray) -> float:
         """Quadratic form v' sigma^-1 v."""
         w = self.whiten(v)
         return float(w @ w)
+
+    def cov_dot(self, g: np.ndarray) -> np.ndarray:
+        """Sigma g = V (s * V' g)."""
+        return self.eigvecs @ (self.eigvals * (self.eigvecs.T @ g))
+
+    def factor_dot(self, g: np.ndarray) -> np.ndarray:
+        """A g = sqrt s * V' g."""
+        return self._root * (self.eigvecs.T @ g)
 
 
 def factor(sigma: np.ndarray, method: str = "cholesky") -> np.ndarray:
@@ -85,11 +116,23 @@ def factor(sigma: np.ndarray, method: str = "cholesky") -> np.ndarray:
     raise ValueError(f"unknown factor method {method!r}")
 
 
-def local_covariance(
-    hess: np.ndarray,
-    eps: float = 1e-6,
-    factor_method: str = "cholesky",
-) -> LocalMetric:
+def checked_factor(cov, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a fixed covariance and return it as a float array with its factor.
+
+    Raises:
+        ValueError: if ``cov`` is not a square matrix or not symmetric to
+            1e-10; the message names the parameter ``name``.
+        FactorizationError: if ``cov`` is not positive definite.
+    """
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {cov.shape}")
+    if np.max(np.abs(cov - cov.T)) > 1e-10:
+        raise ValueError(f"{name} must be symmetric")
+    return cov, factor(cov)
+
+
+def local_covariance(hess: np.ndarray, eps: float = 1e-6) -> LocalMetric:
     """Local covariance derived from a log-density Hessian.
 
     If every eigenvalue of ``-hess`` exceeds ``eps`` the covariance is the
@@ -99,38 +142,55 @@ def local_covariance(
     positive definiteness.  No continuity across the branch switch is
     claimed; Metropolis corrections remain exact regardless.
 
+    A Hessian with every off-diagonal entry exactly zero skips ``eigh``: its
+    eigenvalues are the diagonal and its eigenvectors the coordinate axes,
+    kept in coordinate order so that whitened coordinates are the original
+    ones.  The log-determinant is summed in ascending Hessian-eigenvalue
+    order, as it is for the ``eigh`` result.
+
     Args:
         hess: symmetric d x d Hessian of the log-density.
         eps: positive regularisation floor.
-        factor_method: passed through to :func:`factor`.
 
     Raises:
-        FactorizationError: if ``hess`` is not symmetric to 1e-8 or contains
-            non-finite entries.
+        FactorizationError: if ``hess`` is not square or not symmetric to 1e-8.
+        NonFiniteInputError: if ``hess`` contains non-finite entries.
     """
     hess = np.asarray(hess, dtype=float)
     if hess.ndim != 2 or hess.shape[0] != hess.shape[1]:
         raise FactorizationError(f"Hessian must be square, got shape {hess.shape}")
-    if not np.isfinite(hess).all():
+    diag = hess.diagonal()
+    # count_nonzero counts NaN as nonzero, so a Hessian that passes this test
+    # has exactly-zero off-diagonal entries and only its diagonal can be
+    # non-finite; it is also symmetric
+    diagonal = np.count_nonzero(hess) == np.count_nonzero(diag)
+    if not np.isfinite(diag if diagonal else hess).all():
         raise NonFiniteInputError("Hessian contains non-finite entries")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    asym = np.max(np.abs(hess - hess.T)) if hess.size else 0.0
-    if asym > 1e-8:
-        raise FactorizationError(f"Hessian is not symmetric (asymmetry {asym:.3e})")
 
-    sym = 0.5 * (hess + hess.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
+    if diagonal:
+        eigvals, eigvecs = diag, np.eye(diag.size)
+    else:
+        asym = np.max(np.abs(hess - hess.T)) if hess.size else 0.0
+        if asym > 1e-8:
+            raise FactorizationError(f"Hessian is not symmetric (asymmetry {asym:.3e})")
+        eigvals, eigvecs = np.linalg.eigh(0.5 * (hess + hess.T))
 
-    if eigvals[-1] < -eps:  # -H strictly positive definite with margin eps
+    if eigvals.max() < -eps:  # -H strictly positive definite with margin eps
         sigma_eigs = 1.0 / (-eigvals)
         regularized = False
     else:
         sigma_eigs = 1.0 / np.maximum(np.abs(eigvals), EIG_FLOOR) + eps
         regularized = True
 
-    sigma = (eigvecs * sigma_eigs) @ eigvecs.T
-    sigma = 0.5 * (sigma + sigma.T)
-    log_det = float(np.sum(np.log(sigma_eigs)))
-    a = factor(sigma, method=factor_method)
-    return LocalMetric(sigma=sigma, a=a, log_det=log_det, eps=eps, regularized=regularized)
+    log_s = np.log(sigma_eigs)
+    if diagonal:
+        log_s = log_s[np.argsort(diag)]
+    return LocalMetric(
+        eigvals=sigma_eigs,
+        eigvecs=eigvecs,
+        log_det=float(np.sum(log_s)),
+        eps=eps,
+        regularized=regularized,
+    )

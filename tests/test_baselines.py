@@ -14,6 +14,7 @@ from hughop.baselines import (
 )
 from hughop.exceptions import TrajectoryError
 from hughop.hug import HugParams, hug_kernel_step
+from hughop.metric import factor
 from hughop.state import ChainState
 from hughop.targets import GaussianDiag, QuarticGaussian
 
@@ -171,6 +172,25 @@ class TestRwmStep:
             RwmParams(step_scale=1.0, local_cov="fixed")
         with pytest.raises(ValueError):
             RwmParams(step_scale=1.0, local_cov="banana")
+
+    @pytest.mark.parametrize(
+        "cov,error",
+        [
+            (np.ones((2, 3)), "square"),
+            (np.ones(3), "square"),
+            (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
+            (np.diag([1.0, -1.0]), "positive definite"),
+            (np.array([[1.0, 2.0], [2.0, 1.0]]), "positive definite"),
+        ],
+    )
+    def test_fixed_cov_validated_at_construction(self, cov, error):
+        with pytest.raises(ValueError, match=error):
+            RwmParams(step_scale=1.0, local_cov="fixed", cov=cov)
+
+    def test_fixed_cov_factor_computed_once(self):
+        cov = np.array([[2.0, 0.3], [0.3, 0.5]])
+        params = RwmParams(step_scale=1.0, local_cov="fixed", cov=cov)
+        np.testing.assert_array_equal(params.cov_factor, factor(cov))
 
 
 class TestMalaStep:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hughop.exceptions import ConfigError
+from hughop.exceptions import ConfigError, NonFiniteInputError
 from hughop.harness import (
     ExperimentConfig,
     grid_tune,
@@ -72,6 +72,13 @@ class TestConfig:
         ):
             kernel = make_kernel(spec, dim=4)
             assert kernel.name == spec["kernel"]
+
+    @pytest.mark.parametrize("cov", [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
+    def test_bad_fixed_rwm_cov_is_config_error(self, cov):
+        with pytest.raises(ConfigError, match=r"kernels\[0\]"):
+            base_config(
+                kernels=[{"kernel": "rwm", "local_cov": "fixed", "cov": cov}]
+            ).build_kernels(2)
 
     def test_hop_default_scale_uses_dimension(self):
         kernel = make_kernel({"kernel": "hop"}, dim=100)
@@ -161,6 +168,19 @@ class TestGridTune:
     def test_bad_grid_path(self):
         cfg = base_config(grid={"kernels.7.lambda": [1.0]})
         with pytest.raises(ConfigError, match="path"):
+            grid_tune(cfg)
+
+    def test_rejected_kernel_parameters_score_nan(self):
+        cfg = base_config(grid={"kernels.1.kappa": [-1.0, 0.5]}, pilot_iterations=1500)
+        result = grid_tune(cfg)
+        assert np.isnan(result.table[0]["score"])
+        assert "kappa" in result.table[0]["note"]
+        assert result.best == {"kernels.1.kappa": 0.5}
+
+    def test_program_errors_propagate(self):
+        # a non-finite input is an error to report, not a degenerate cell
+        cfg = base_config(grid={"kernels.1.lambda": [1.0, 2.0]}, init=[np.nan, 0.0, 0.0])
+        with pytest.raises(NonFiniteInputError):
             grid_tune(cfg)
 
     def test_callable_objective_and_full_table(self):

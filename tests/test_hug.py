@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hughop.exceptions import NonFiniteInputError, TrajectoryError
+from hughop.exceptions import FactorizationError, NonFiniteInputError, TrajectoryError
 from hughop.hug import (
     HugParams,
     hug_kernel_step,
@@ -11,12 +13,14 @@ from hughop.hug import (
     reflect,
     reflect_in_metric,
 )
+from hughop.metric import factor, local_covariance
 from hughop.state import ChainState
 from hughop.targets import (
     Banana2D,
     GaussianDiag,
     LogisticGaussian,
     QuarticGaussian,
+    TargetModel,
     make_target,
 )
 
@@ -62,6 +66,25 @@ class TestReflect:
             reflect(np.array([np.inf, 0.0]), np.array([1.0, 0.0]))
 
 
+class DenseQuadratic(TargetModel):
+    """Gaussian log-density -x' P x / 2 with a dense precision P."""
+
+    name = "dense-quadratic"
+
+    def __init__(self, precision):
+        self.precision = precision
+        self.dim = precision.shape[0]
+
+    def _log_density(self, x):
+        return -0.5 * float(x @ self.precision @ x)
+
+    def _gradient(self, x):
+        return -(self.precision @ x)
+
+    def _hessian(self, x):
+        return -self.precision
+
+
 class TestReflectInMetric:
     def test_identity_metric_reduces_to_plain(self, rng):
         for _ in range(20):
@@ -98,6 +121,17 @@ class TestReflectInMetric:
         v = np.array([1.0, 2.0])
         out = reflect_in_metric(v, np.zeros(2), np.eye(2))
         np.testing.assert_array_equal(out, v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8), spread=st.floats(0.0, 3.0))
+    def test_involution_under_random_spd(self, seed, d, spread):
+        # the dense matrix and the spectral local metric of the same covariance
+        rng = np.random.default_rng(seed)
+        sigma = random_spd(rng, d, spread)
+        v, g = rng.standard_normal(d), rng.standard_normal(d)
+        for metric in (sigma, local_covariance(-np.linalg.inv(sigma), 1e-6)):
+            back = reflect_in_metric(reflect_in_metric(v, g, metric), g, metric)
+            assert np.linalg.norm(back - v) <= 1e-10 * (1.0 + np.linalg.norm(v))
 
 
 class TestHugTrajectory:
@@ -193,6 +227,27 @@ class TestHugTrajectory:
         assert info.value.step_index == 4
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 8),
+        total_time=st.floats(0.1, 1.2),
+        n_bounces=st.integers(1, 8),
+    )
+    def test_hessian_mode_skew_reversible_on_dense_quadratic(
+        self, seed, d, total_time, n_bounces
+    ):
+        # a dense negative-definite Hessian takes the eigendecomposition path
+        rng = np.random.default_rng(seed)
+        target = DenseQuadratic(random_spd(rng, d))
+        params = HugParams(total_time, n_bounces, mode="hessian")
+        x0, v0 = rng.standard_normal(d), rng.standard_normal(d)
+        fwd = hug_trajectory(target, x0, v0, params)
+        back = hug_trajectory(target, fwd.x, -fwd.v, params)
+        assert np.linalg.norm(back.x - x0) / (1 + np.linalg.norm(x0)) <= 1e-10
+        assert np.linalg.norm(back.v + v0) / (1 + np.linalg.norm(v0)) <= 1e-10
+
+
 class TestHugKernelStep:
     def test_spherical_gaussian_always_accepts(self, rng):
         target = GaussianDiag(scales=1.0, dim=5)
@@ -252,14 +307,22 @@ class TestHugKernelStep:
             HugParams(total_time=1.0, n_bounces=5, mode="warp")
         with pytest.raises(ValueError):
             HugParams(total_time=1.0, n_bounces=5, mode="precond")
+        with pytest.raises(FactorizationError):
+            HugParams(1.0, 5, mode="precond", precond_cov=np.diag([1.0, -1.0]))
         assert HugParams(1.0, 4).step == 0.25
+
+    def test_precond_factor_computed_once(self, rng):
+        sigma = random_spd(rng, 3)
+        params = HugParams(1.0, 5, mode="precond", precond_cov=sigma)
+        np.testing.assert_array_equal(params.precond_factor, factor(sigma))
+        assert params == HugParams(1.0, 5, mode="precond", precond_cov=params.precond_cov)
 
 
 class TestHugHessOrder:
     def test_single_bounce_error_is_third_order(self, rng):
         # with local-covariance bounces the leading quadratic error terms
         # cancel, leaving a cubic step error (vs quadratic for plain hug)
-        from hughop.metric import local_covariance
+        from hughop.metric import factor, local_covariance
 
         target = LogisticGaussian(a=5.0, scales=1.0, dim=10)
         steps = [0.4, 0.2, 0.1, 0.05]

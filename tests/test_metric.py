@@ -4,13 +4,57 @@ import numpy as np
 import pytest
 
 from hughop.exceptions import FactorizationError, NonFiniteInputError
-from hughop.metric import LocalMetric, factor, local_covariance
+from hughop.metric import EIG_FLOOR, factor, local_covariance
 
 
 def random_spd(rng, d, spread=2.0):
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     eigs = np.exp(rng.uniform(-spread, spread, d))
     return (q * eigs) @ q.T
+
+
+def eigh_reference(hess, eps):
+    """(sigma, log_det, regularized) built densely from np.linalg.eigh."""
+    eigvals, eigvecs = np.linalg.eigh(hess)
+    regularized = not eigvals[-1] < -eps
+    if regularized:
+        sigma_eigs = 1.0 / np.maximum(np.abs(eigvals), EIG_FLOOR) + eps
+    else:
+        sigma_eigs = -1.0 / eigvals
+    sigma = (eigvecs * sigma_eigs) @ eigvecs.T
+    return sigma, float(np.sum(np.log(sigma_eigs))), regularized
+
+
+@pytest.fixture
+def count_eigh(monkeypatch):
+    """Counts the np.linalg.eigh calls made while the test runs."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+# (diagonal of the Hessian, eps): both branches, the eps margin on either
+# side, tied entries and an entry at 1e-15
+DIAGONAL_CASES = [
+    ([-4.0, -0.25], 1e-6),
+    ([-0.25, -4.0, -1.0], 1e-6),
+    ([-4.0, 1.0], 0.01),
+    ([2.0, -3.0, 0.5, -1e-3], 1e-4),
+    ([-1.0, -1e-8], 1e-6),
+    ([-1.0, -2e-6], 1e-6),
+    ([-1.0, -1e-6], 1e-6),
+    ([-2.0, -2.0, -0.5, -2.0, -0.5], 1e-6),
+    ([1.5, 1.5, -1.5], 1e-6),
+    ([-2.0, 1e-15], 1e-6),
+    ([-2.0, -1e-15, -3.0], 1e-6),
+    ([0.0, -1.0], 1e-6),
+]
 
 
 class TestLocalCovariance:
@@ -55,13 +99,52 @@ class TestLocalCovariance:
         assert m.regularized
 
     def test_asymmetric_hessian_rejected(self):
-        hess = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(FactorizationError):
-            local_covariance(-hess, eps=1e-6)
+        for hess in (
+            [[1.0, 0.5], [0.0, 1.0]],
+            [[-1.0, 0.0, 1e-7], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]],
+        ):
+            with pytest.raises(FactorizationError):
+                local_covariance(-np.array(hess), eps=1e-6)
 
     def test_non_finite_hessian_rejected(self):
-        with pytest.raises(NonFiniteInputError):
-            local_covariance(np.array([[np.nan, 0.0], [0.0, -1.0]]), eps=1e-6)
+        # NaN or inf on the diagonal, and off it where it also breaks symmetry
+        for hess in (
+            [[np.nan, 0.0], [0.0, -1.0]],
+            [[-1.0, np.nan], [np.nan, -1.0]],
+            [[-1.0, np.nan], [0.0, -1.0]],
+            [[-1.0, 0.0], [0.0, -np.inf]],
+            [[-1.0, np.inf, 0.0], [np.inf, -1.0, 0.0], [0.0, 0.0, -1.0]],
+        ):
+            with pytest.raises(NonFiniteInputError):
+                local_covariance(np.array(hess), eps=1e-6)
+
+    def test_non_finite_checked_before_eps(self):
+        for hess in (np.diag([np.nan, -1.0]), np.array([[-1.0, np.nan], [np.nan, -1.0]])):
+            with pytest.raises(NonFiniteInputError):
+                local_covariance(hess, eps=0.0)
+
+    @pytest.mark.parametrize("diag,eps", DIAGONAL_CASES)
+    def test_diagonal_path_matches_eigh_reference(self, diag, eps, count_eigh):
+        hess = np.diag(diag)
+        m = local_covariance(hess, eps=eps)
+        assert count_eigh == []
+        sigma, log_det, regularized = eigh_reference(hess, eps)
+        np.testing.assert_allclose(m.sigma, sigma, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(m.a.T @ m.a, sigma, rtol=1e-15, atol=0.0)
+        assert m.log_det == pytest.approx(log_det, rel=1e-15, abs=1e-15)
+        assert m.regularized == regularized
+
+    @pytest.mark.parametrize("diag,eps", DIAGONAL_CASES)
+    def test_tiny_off_diagonal_takes_dense_path(self, diag, eps, count_eigh):
+        near = np.diag(diag)
+        near[0, -1] = near[-1, 0] = 1e-14
+        dense = local_covariance(near, eps=eps)
+        assert len(count_eigh) == 1
+        m = local_covariance(np.diag(diag), eps=eps)
+        assert dense.regularized == m.regularized
+        scale = np.max(np.abs(m.sigma))
+        np.testing.assert_allclose(dense.sigma, m.sigma, rtol=0.0, atol=1e-12 * scale)
+        assert dense.log_det == pytest.approx(m.log_det, abs=1e-12)
 
     def test_small_pd_margin_routes_to_regularised(self):
         # -H is PD but inside the eps margin: handled by the regularised branch
@@ -114,6 +197,29 @@ class TestLocalMetricOps:
         m = local_covariance(-np.linalg.inv(sigma), eps=1e-6)
         v = rng.standard_normal(5)
         np.testing.assert_allclose(m.unwhiten(m.whiten(v)), v, atol=1e-9)
+
+    @pytest.mark.parametrize("d", [1, 4, 25])
+    @pytest.mark.parametrize("shape", ["dense", "diagonal", "indefinite"])
+    def test_products_match_dense_formulas(self, d, shape, rng):
+        for _ in range(5):
+            if shape == "dense":
+                hess = -np.linalg.inv(random_spd(rng, d))
+            elif shape == "diagonal":
+                hess = np.diag(-np.exp(rng.uniform(-2.0, 2.0, d)))
+            else:
+                q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+                hess = (q * rng.uniform(-3.0, 3.0, d)) @ q.T
+                hess = 0.5 * (hess + hess.T)
+            m = local_covariance(hess, eps=1e-4)
+            sigma, a = m.sigma, m.a
+            np.testing.assert_allclose(a.T @ a, sigma, rtol=1e-10, atol=1e-12)
+            v, g = rng.standard_normal(d), rng.standard_normal(d)
+            np.testing.assert_allclose(m.whiten(v), np.linalg.solve(a.T, v), rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(m.unwhiten(v), a.T @ v, rtol=1e-12, atol=1e-12)
+            assert m.quad_inv(v) == pytest.approx(v @ np.linalg.solve(sigma, v), rel=1e-8)
+            np.testing.assert_allclose(m.cov_dot(g), sigma @ g, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(m.factor_dot(g), a @ g, rtol=1e-12, atol=1e-12)
+            assert m.log_det == pytest.approx(np.linalg.slogdet(sigma)[1], rel=1e-9, abs=1e-9)
 
     def test_quad_inv_matches_solve(self, rng):
         sigma = random_spd(rng, 5)
