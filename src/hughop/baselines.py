@@ -11,7 +11,7 @@ from scipy import linalg as sla
 
 from .exceptions import FactorizationError, HugHopError, NonFiniteInputError, TrajectoryError
 from .metric import checked_factor, local_covariance
-from .state import ChainState, StepOutcome, metropolis_accept
+from .state import ChainState, Kernel, StepOutcome, metropolis_accept
 from .targets import TargetModel
 
 __all__ = [
@@ -297,31 +297,16 @@ def mala_step(
     )
 
 
-class HmcKernel:
+class HmcKernel(Kernel):
     name = "hmc"
-
-    def __init__(self, params: HmcParams):
-        self.params = params
-
-    def step(self, target, state, rng):
-        return hmc_step(target, state, self.params, rng)
+    step_fn = staticmethod(hmc_step)
 
 
-class RwmKernel:
+class RwmKernel(Kernel):
     name = "rwm"
-
-    def __init__(self, params: RwmParams):
-        self.params = params
-
-    def step(self, target, state, rng):
-        return rwm_step(target, state, self.params, rng)
+    step_fn = staticmethod(rwm_step)
 
 
-class MalaKernel:
+class MalaKernel(Kernel):
     name = "mala"
-
-    def __init__(self, params: MalaParams):
-        self.params = params
-
-    def step(self, target, state, rng):
-        return mala_step(target, state, self.params, rng)
+    step_fn = staticmethod(mala_step)

@@ -30,6 +30,7 @@ from .harness import (
     hop_scaling_experiment,
     hug_efficiency_experiment,
     run_chain,
+    set_by_path,
     stability_experiment,
     theorem2_experiment,
     write_rows_csv,
@@ -50,24 +51,12 @@ def _parse_set(values: list[str]) -> dict:
     return overrides
 
 
-def _apply_overrides(tree: dict, overrides: dict) -> None:
-    for path, value in overrides.items():
-        keys = path.split(".")
-        node = tree
-        for key in keys[:-1]:
-            node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
-        last = keys[-1]
-        if isinstance(node, list):
-            node[int(last)] = value
-        else:
-            node[last] = value
-
-
 def _load_config(args) -> ExperimentConfig:
     if not args.config:
         raise ConfigError("--config", "a config file is required for this subcommand")
     raw = json.loads(Path(args.config).read_text())
-    _apply_overrides(raw, _parse_set(args.set))
+    for path, value in _parse_set(args.set).items():
+        set_by_path(raw, path, value)
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.out is not None:

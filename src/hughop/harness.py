@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from itertools import product
 from pathlib import Path
 
@@ -43,6 +43,9 @@ __all__ = [
     "run_chain",
     "run_kernels",
     "grid_tune",
+    "grid_cells",
+    "tune_cells",
+    "set_by_path",
     "TuneResult",
     "hug_efficiency_experiment",
     "stability_experiment",
@@ -345,16 +348,27 @@ def run_chain(config: ExperimentConfig) -> tuple[Trace, RunSummary]:
 # ---------------------------------------------------------------------------
 
 
-def _set_by_path(tree: dict, path: str, value) -> None:
-    keys = path.split(".")
+def set_by_path(tree: dict, path: str, value) -> None:
+    """Set the entry of ``tree`` that the dotted ``path`` names to ``value``.
+
+    Keys into lists are integer indices.  Every key but the last must
+    already exist; the last may add a new key to a mapping.  A path that
+    does not resolve (a missing key, an index out of range or not an
+    integer, a step into a scalar) raises :class:`ConfigError` naming it.
+    """
+    *parents, last = path.split(".")
     node = tree
-    for key in keys[:-1]:
-        node = node[int(key)] if isinstance(node, list) else node[key]
-    last = keys[-1]
-    if isinstance(node, list):
-        node[int(last)] = value
-    else:
-        node[last] = value
+    try:
+        for key in parents:
+            node = node[int(key)] if isinstance(node, list) else node[key]
+        if isinstance(node, list):
+            node[int(last)] = value
+        elif isinstance(node, dict):
+            node[last] = value
+        else:
+            raise TypeError
+    except (KeyError, IndexError, ValueError, TypeError):
+        raise ConfigError(path, "path does not resolve in the config") from None
 
 
 OBJECTIVES = ("ess_per_second", "ess_per_iteration")
@@ -384,55 +398,47 @@ class TuneResult:
     objective: str = "ess_per_second"
 
 
-def grid_tune(config: ExperimentConfig, objective=None) -> TuneResult:
-    """Score every grid cell with a pilot run and return the argmax.
+def grid_cells(grid: dict) -> list[dict]:
+    """Every combination of a grid mapping names to value lists, in order."""
+    if not grid:
+        raise ConfigError("grid", "must name at least one parameter")
+    if any(len(values) == 0 for values in grid.values()):
+        raise ConfigError("grid", "grid value lists must be nonempty")
+    return [dict(zip(grid, combo)) for combo in product(*grid.values())]
 
-    Each cell overrides the configured kernel parameters via its dotted
-    paths, runs ``pilot_iterations`` sweeps (with ``pilot_burn_fraction``
-    discarded) on its own spawned RNG stream, and is ranked by the declared
-    objective: the geometric mean of min ESS(X) and ESS(log pi), per second
-    by default or per iteration.  Degenerate cells (a series ESS cannot be
-    estimated on, or parameter values the kernel rejects) score NaN and are
-    kept in the table with their failure notes; any other error, such as a
-    dimension mismatch or a non-finite input, propagates.
+
+def tune_cells(cells: list[dict], run_pilot, seed, objective) -> TuneResult:
+    """Score every cell with one pilot run and return the argmax.
+
+    ``run_pilot(i, cell_seed)`` runs the pilot of ``cells[i]`` and returns
+    its :class:`RunSummary`; ``cell_seed`` is the i-th ``SeedSequence``
+    spawned from ``seed``, so every cell has its own stream.  A cell scores
+    ``objective``: the geometric mean of min ESS(X) and ESS(log pi), per
+    second (``"ess_per_second"``) or per 1000 iterations
+    (``"ess_per_iteration"``), or a callable of the summary.  A degenerate
+    cell (a series ESS cannot be estimated on, or parameter values the
+    kernel rejects) scores NaN and stays in the table with its failure
+    note; any other error, such as a dimension mismatch or a non-finite
+    input, propagates.  When no cell scores, :class:`ConfigError` is raised
+    for ``"grid"``.
+
+    The pick is the argmax of single-pilot estimates, so it follows the
+    objective only while the spread of a cell's score over pilots is small
+    beside the gaps between the leading cells.  A near-tie is otherwise
+    settled by pilot noise, and the winner's score is biased upwards.  Size
+    the pilots so that the leading cells' scores spread by about 5% (sd over
+    mean of 8 pilots on fresh streams).
     """
-    if not config.grid:
-        raise ConfigError("grid", "grid_tune needs a nonempty grid")
-    objective = objective if objective is not None else config.objective
     if not callable(objective) and objective not in OBJECTIVES:
         raise ConfigError("objective", f"unknown objective {objective!r}")
-
-    paths = list(config.grid.keys())
-    value_lists = [config.grid[p] for p in paths]
-    if any(len(v) == 0 for v in value_lists):
-        raise ConfigError("grid", "grid value lists must be nonempty")
-
-    seeds = np.random.SeedSequence(config.seed).spawn(int(np.prod([len(v) for v in value_lists])))
+    entropy = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     table: list[dict] = []
     best = None
     best_score = -np.inf
-
-    for cell_index, combo in enumerate(product(*value_lists)):
-        cell_cfg = config.to_dict()
-        for path, value in zip(paths, combo):
-            try:
-                _set_by_path(cell_cfg, path, value)
-            except (KeyError, IndexError, ValueError):
-                raise ConfigError("grid", f"path {path!r} does not resolve in the config")
-        cell_cfg.update(
-            iterations=int(config.pilot_iterations),
-            burn_in=int(config.pilot_iterations * config.pilot_burn_fraction),
-            grid=None,
-            out=None,
-            seed=None,
-        )
-        cell_cfg.pop("seed")
-        cell = ExperimentConfig.from_dict({**cell_cfg, "seed": 0})
-        cell.seed = seeds[cell_index]  # SeedSequence accepted by default_rng
-
-        row = {path: value for path, value in zip(paths, combo)}
+    for i, (cell, cell_seed) in enumerate(zip(cells, entropy.spawn(len(cells)))):
+        row = dict(cell)
         try:
-            _, summary = run_chain(cell)
+            summary = run_pilot(i, cell_seed)
             score = _objective_value(summary, objective)
             row.update(
                 score=score,
@@ -450,15 +456,49 @@ def grid_tune(config: ExperimentConfig, objective=None) -> TuneResult:
         table.append(row)
         if np.isfinite(score) and score > best_score:
             best_score = score
-            best = {path: value for path, value in zip(paths, combo)}
+            best = dict(cell)
 
     if best is None:
         failures = "; ".join(
-            f"{ {p: r.get(p) for p in paths} }: {r.get('note', 'NaN score')}" for r in table
+            f"{cell}: {row.get('note', 'NaN score')}" for cell, row in zip(cells, table)
         )
         raise ConfigError("grid", f"all grid cells degenerate: {failures}")
     name = objective.__name__ if callable(objective) else objective
     return TuneResult(best=best, best_score=best_score, table=table, objective=name)
+
+
+def _pilot_config(config: ExperimentConfig, cell: dict) -> ExperimentConfig:
+    raw = config.to_dict()
+    for path, value in cell.items():
+        set_by_path(raw, path, value)
+    raw.update(
+        iterations=int(config.pilot_iterations),
+        burn_in=int(config.pilot_iterations * config.pilot_burn_fraction),
+        grid=None,
+        out=None,
+    )
+    return ExperimentConfig.from_dict(raw)
+
+
+def grid_tune(config: ExperimentConfig, objective=None) -> TuneResult:
+    """Grid-tune a config with :func:`tune_cells`, which documents the pick.
+
+    ``config.grid`` maps dotted paths into the config (see
+    :func:`set_by_path`) to value lists.  Each cell's pilot is the config
+    with the cell's values set, ``pilot_iterations`` sweeps of which the
+    first ``pilot_burn_fraction`` are discarded, run by :func:`run_chain`.
+    ``objective`` defaults to ``config.objective``.  A path that does not
+    resolve, or a cell config that fails validation, raises before any
+    pilot runs.
+    """
+    cells = grid_cells(config.grid)
+    pilots = [_pilot_config(config, cell) for cell in cells]
+
+    def run_pilot(i, cell_seed):
+        return run_chain(replace(pilots[i], seed=cell_seed))[1]
+
+    objective = objective if objective is not None else config.objective
+    return tune_cells(cells, run_pilot, config.seed, objective)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 
 from .exceptions import FactorizationError, NonFiniteInputError, ZeroGradientError
 from .metric import LocalMetric, local_covariance
-from .state import ChainState, StepOutcome, metropolis_accept
+from .state import ChainState, Kernel, StepOutcome, metropolis_accept
 from .targets import TargetModel
 
 __all__ = [
@@ -272,13 +272,8 @@ def hop_kernel_step(
     return new_state, outcome
 
 
-class HopKernel:
-    """Stateless wrapper binding :func:`hop_kernel_step` to fixed params."""
+class HopKernel(Kernel):
+    """Hop with fixed :class:`HopParams`."""
 
     name = "hop"
-
-    def __init__(self, params: HopParams):
-        self.params = params
-
-    def step(self, target, state, rng):
-        return hop_kernel_step(target, state, self.params, rng)
+    step_fn = staticmethod(hop_kernel_step)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .exceptions import FactorizationError, HugHopError, NonFiniteInputError, TrajectoryError
 from .metric import LocalMetric, checked_factor, local_covariance
-from .state import ChainState, StepOutcome, metropolis_accept
+from .state import ChainState, Kernel, StepOutcome, metropolis_accept
 from .targets import TargetModel
 
 __all__ = [
@@ -106,7 +106,6 @@ class HugParams:
 class HugOutcome(StepOutcome):
     """Hug step result; optionally carries the bounce points."""
 
-    proposed_velocity: np.ndarray | None = None
     bounces: list | None = None
     zero_grad_bounces: int = 0
 
@@ -326,20 +325,14 @@ def hug_kernel_step(
         proposal=traj.x if traj is not None else x0.copy(),
         log_alpha=log_alpha,
         accepted=accepted,
-        proposed_velocity=traj.v if traj is not None else None,
         bounces=traj.bounces if traj is not None else None,
         zero_grad_bounces=traj.zero_grad_bounces if traj is not None else 0,
     )
     return new_state, outcome
 
 
-class HugKernel:
-    """Stateless wrapper binding :func:`hug_kernel_step` to fixed params."""
+class HugKernel(Kernel):
+    """Hug with fixed :class:`HugParams`."""
 
     name = "hug"
-
-    def __init__(self, params: HugParams):
-        self.params = params
-
-    def step(self, target, state, rng):
-        return hug_kernel_step(target, state, self.params, rng)
+    step_fn = staticmethod(hug_kernel_step)

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import json
 import time
-from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import HmcKernel, HmcParams
-from .diagnostics import Trace, ess, summarize_run
+from .diagnostics import ess
 from .exceptions import DegenerateSeriesError
-from .harness import run_kernels
+from .harness import grid_cells, run_kernels, tune_cells
 from .hop import HopKernel, HopParams
 from .hug import HugKernel, HugParams
 from .models import (
@@ -53,59 +52,33 @@ def _hmc(cell: dict) -> list:
     return [HmcKernel(HmcParams(n_steps=cell["L"], step_size=cell["step"]))]
 
 
-def _objective(summary) -> float:
-    a, b = summary.min_ess_x_per_1000, summary.ess_logpi_per_1000
-    if a is None or b is None or not (np.isfinite(a) and np.isfinite(b)):
-        return np.nan
-    return float(np.sqrt(a * b))
-
-
-def tune_kernels(target, kernel_factory, grid: dict, pilot_iterations: int, seed: int):
-    """Pick the grid cell with the best single-pilot ESS compromise.
-
-    Each cell runs one pilot of ``pilot_iterations`` (a fifth discarded as
-    burn-in) on its own stream spawned from ``seed`` and is scored by the
-    per-iteration compromise sqrt(min ESS(X) * ESS(log pi)), both per 1000
-    iterations.  The pick is the argmax of these single-pilot estimates, so
-    it follows the objective only while the spread of a cell's score over
-    pilots is small beside the gaps between the leading cells.  A near-tie
-    is otherwise settled by pilot noise, and the winner's score is biased
-    upwards.  Callers therefore size ``pilot_iterations`` so that the
-    leading cells' scores spread by about 5% (sd over mean of 8 pilots on
-    fresh streams).
+def tune_kernels(target, kernel_factory, grid: dict, pilot_iterations: int, seed):
+    """Grid-tune a kernel list on a built target with ``harness.tune_cells``.
 
     ``grid`` maps parameter names to value lists; ``kernel_factory`` turns
-    one cell dict into a kernel list.  Returns (best cell, table).
+    one cell dict into a kernel list.  Each cell's pilot runs
+    ``pilot_iterations`` sweeps from zero, a fifth of them discarded as
+    burn-in, on a stream spawned from ``seed`` (an int or a
+    ``SeedSequence``).  Cells score ``"ess_per_iteration"``, the compromise
+    sqrt(min ESS(X) * ESS(log pi)) per 1000 iterations.  ``tune_cells``
+    documents the pick and its 5% rule for sizing ``pilot_iterations``.
+    Returns a ``TuneResult``; when every cell is degenerate it raises
+    ``ConfigError`` for ``"grid"``.
     """
-    names = list(grid.keys())
-    combos = list(product(*(grid[n] for n in names)))
-    entropy = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    seeds = entropy.spawn(len(combos))
-    table = []
-    best, best_score = None, -np.inf
-    for i, combo in enumerate(combos):
-        cell = dict(zip(names, combo))
-        rng = np.random.default_rng(seeds[i])
-        try:
-            _, summary = run_kernels(
-                target,
-                kernel_factory(cell),
-                iterations=pilot_iterations,
-                rng=rng,
-                burn_in=pilot_iterations // 5,
-                init="zero",
-            )
-            score = _objective(summary)
-            row = {**cell, "score": score, "acceptance": summary.acceptance}
-        except DegenerateSeriesError as exc:
-            score = np.nan
-            row = {**cell, "score": score, "note": str(exc)}
-        table.append(row)
-        if np.isfinite(score) and score > best_score:
-            best, best_score = cell, score
-    if best is None:
-        raise DegenerateSeriesError("all tuning cells degenerate")
-    return best, table
+    cells = grid_cells(grid)
+
+    def run_pilot(i, cell_seed):
+        _, summary = run_kernels(
+            target,
+            kernel_factory(cells[i]),
+            iterations=pilot_iterations,
+            rng=np.random.default_rng(cell_seed),
+            burn_in=pilot_iterations // 5,
+            init="zero",
+        )
+        return summary
+
+    return tune_cells(cells, run_pilot, seed, "ess_per_iteration")
 
 
 def _final_run(target, kernels, iterations: int, seed: int) -> dict:
@@ -132,11 +105,12 @@ def run_cauchit_comparison(
 ) -> dict:
     """Hug-and-hop vs HMC on a simulated cauchit regression posterior.
 
-    Both samplers are tuned by ``tune_kernels`` with the same
-    ``pilot_iterations``, sized by its 5% rule.  At seed 2109 and 6,000
-    iterations the hug+hop cells spread by 4.5-14%, as much as the leading
-    cells differ, and the tuner picked the cell that ranks 11th of 12 on
-    the 50,000-iteration objective.  At 20,000 the four leading cells spread by 4.4-6.4%; the
+    Both samplers are tuned by ``tune_kernels``, which runs the harness
+    grid tuner on this target, with the same ``pilot_iterations``, sized by
+    its 5% rule.  At seed 2109 and 6,000 iterations the hug+hop cells
+    spread by 4.5-14%, as much as the leading cells differ, and the tuner
+    picked the cell that ranks 11th of 12 on the 50,000-iteration
+    objective.  At 20,000 the four leading cells spread by 4.4-6.4%; the
     tuner puts them on top, 11% clear of the rest, and picks the 3rd.  The
     spread falls more slowly than 1/sqrt(n); most of it comes from the
     ESS(log pi) estimate.  HMC's best cell leads its grid by 26% on the
@@ -154,8 +128,8 @@ def run_cauchit_comparison(
         "kappa": [0.5],
     }
     hmc_grid = {"L": [3, 6, 10], "step": [0.06, 0.1, 0.15]}
-    hh_best, hh_table = tune_kernels(target, _hug_hop, hh_grid, pilot_iterations, seeds[1])
-    hmc_best, hmc_table = tune_kernels(target, _hmc, hmc_grid, pilot_iterations, seeds[2])
+    hh_best = tune_kernels(target, _hug_hop, hh_grid, pilot_iterations, seeds[1]).best
+    hmc_best = tune_kernels(target, _hmc, hmc_grid, pilot_iterations, seeds[2]).best
 
     report = {
         "model": "cauchit",
@@ -184,9 +158,9 @@ def run_rasch_comparison(
 ) -> dict:
     """Hug-and-hop vs HMC on a simulated item-response posterior.
 
-    Both samplers are tuned by ``tune_kernels`` with the same
-    ``pilot_iterations``, sized by its 5% rule.
-    At seed 0 and 4,000 iterations the leading hug+hop cells (T=1.2, B=8)
+    Both samplers are tuned by ``tune_kernels``, which runs the harness
+    grid tuner on this target, with the same ``pilot_iterations``, sized by
+    its 5% rule.  At seed 0 and 4,000 iterations the leading hug+hop cells (T=1.2, B=8)
     spread by 13-20%, more than the 7-13% by which they differ on the
     50,000-iteration objective, and the leading HMC cells by 12-13%, which
     let the tuner pick the HMC cell 18% short of the best.  The spread
@@ -205,8 +179,8 @@ def run_rasch_comparison(
         "kappa": [0.5],
     }
     hmc_grid = {"L": [5, 8], "step": [0.05, 0.1, 0.2]}
-    hh_best, _ = tune_kernels(target, _hug_hop, hh_grid, pilot_iterations, seeds[1])
-    hmc_best, _ = tune_kernels(target, _hmc, hmc_grid, pilot_iterations, seeds[2])
+    hh_best = tune_kernels(target, _hug_hop, hh_grid, pilot_iterations, seeds[1]).best
+    hmc_best = tune_kernels(target, _hmc, hmc_grid, pilot_iterations, seeds[2]).best
 
     report = {
         "model": "rasch",

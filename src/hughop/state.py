@@ -1,4 +1,4 @@
-"""Chain state and step outcome containers shared by all kernels."""
+"""Chain state, step outcome and the kernel wrapper shared by all kernels."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from .targets import TargetModel
 
-__all__ = ["ChainState", "StepOutcome"]
+__all__ = ["ChainState", "StepOutcome", "Kernel"]
 
 
 @dataclass
@@ -69,3 +69,20 @@ def metropolis_accept(rng: np.random.Generator, log_alpha: float) -> bool:
     if u == 0.0:
         return True
     return np.log(u) < log_alpha
+
+
+class Kernel:
+    """Stateless wrapper binding a kernel step function to fixed params.
+
+    Subclasses set ``name`` and ``step_fn``, a static function
+    ``(target, state, params, rng) -> (state, outcome)``.
+    """
+
+    name: str
+    step_fn = None
+
+    def __init__(self, params):
+        self.params = params
+
+    def step(self, target, state, rng):
+        return self.step_fn(target, state, self.params, rng)

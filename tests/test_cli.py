@@ -52,6 +52,16 @@ class TestRun:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["iterations"] == 600
 
+    @pytest.mark.parametrize(
+        "path", ["kernels.5.T", "iterations.x", "kernels.a.T", "target.missing.x"]
+    )
+    def test_unresolved_set_path_is_config_error(self, config_file, capsys, path):
+        code = main(["run", "--config", str(config_file), "--set", f"{path}=1"])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert path in record["message"]
+
     def test_invalid_config_exits_nonzero_with_error_record(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"target": {}, "kernels": [{}], "iterations": -4}))

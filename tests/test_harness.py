@@ -1,10 +1,12 @@
 """Config plumbing, chain running, tuning and the experiment procedures."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from hughop.baselines import RwmKernel, RwmParams
 from hughop.exceptions import ConfigError, NonFiniteInputError
 from hughop.harness import (
     ExperimentConfig,
@@ -17,6 +19,9 @@ from hughop.harness import (
     theorem2_experiment,
     write_trace_csv,
 )
+from hughop.hop import HopKernel, HopParams
+from hughop.hug import HugKernel, HugParams
+from hughop.model_runs import tune_kernels
 from hughop.targets import GaussianDiag, make_target
 
 
@@ -196,6 +201,73 @@ class TestGridTune:
             "kernels.1.lambda": best_row["kernels.1.lambda"],
             "kernels.1.kappa": best_row["kernels.1.kappa"],
         }
+
+    @pytest.mark.parametrize(
+        "path", ["iterations.x", "kernels.5.T", "kernels.a.T", "target.missing.x", "seed.0"]
+    )
+    def test_unresolved_grid_path_is_config_error(self, path):
+        cfg = base_config(grid={path: [1]}, pilot_iterations=200)
+        with pytest.raises(ConfigError, match=rf"{re.escape(path)}: path does not resolve"):
+            grid_tune(cfg)
+
+    def test_new_leaf_key_resolves(self):
+        cfg = base_config(grid={"kernels.0.eps": [1e-6]}, pilot_iterations=1500)
+        assert grid_tune(cfg).best == {"kernels.0.eps": 1e-6}
+
+
+LG5 = {"target": "lg", "a": 1.0, "dim": 5, "scales": "U"}
+
+
+def _lg5_hug_hop(cell):
+    return [
+        HugKernel(HugParams(total_time=1.0, n_bounces=cell["B"])),
+        HopKernel(HopParams(lam=cell["lam"], kappa=0.5)),
+    ]
+
+
+class TestOneTuner:
+    """``grid_tune`` and ``model_runs.tune_kernels`` share one cell loop."""
+
+    def test_equivalent_configs_score_alike(self):
+        cfg = base_config(
+            target=LG5,
+            kernels=[{"kernel": "hug", "T": 1.0, "B": 3}, {"kernel": "hop", "lambda": 1.0, "kappa": 0.5}],
+            grid={"kernels.0.B": [3, 5], "kernels.1.lambda": [1.0, 2.0]},
+            pilot_iterations=1500,
+            init="zero",
+            objective="ess_per_iteration",
+        )
+        harness_result = grid_tune(cfg)
+        model_result = tune_kernels(
+            make_target(LG5), _lg5_hug_hop, {"B": [3, 5], "lam": [1.0, 2.0]}, 1500, seed=11
+        )
+        harness_scores = [row["score"] for row in harness_result.table]
+        assert len(harness_scores) == 4 and np.all(np.isfinite(harness_scores))
+        assert [row["score"] for row in model_result.table] == harness_scores
+        assert model_result.best == {
+            "B": harness_result.best["kernels.0.B"],
+            "lam": harness_result.best["kernels.1.lambda"],
+        }
+        assert model_result.best_score == harness_result.best_score
+
+    def test_all_degenerate_grid_raises_config_error(self):
+        # a random walk this wide rejects every proposal, so no cell scores
+        cfg = base_config(
+            kernels=[{"kernel": "rwm", "step_scale": 1e8}],
+            grid={"kernels.0.step_scale": [1e8, 1e9]},
+            pilot_iterations=200,
+            init="zero",
+        )
+        with pytest.raises(ConfigError, match="all grid cells degenerate"):
+            grid_tune(cfg)
+        with pytest.raises(ConfigError, match="all grid cells degenerate"):
+            tune_kernels(
+                make_target(cfg.target),
+                lambda cell: [RwmKernel(RwmParams(step_scale=cell["scale"]))],
+                {"scale": [1e8, 1e9]},
+                200,
+                seed=11,
+            )
 
 
 class TestHugEfficiency:
