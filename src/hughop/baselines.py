@@ -30,37 +30,32 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-def _as_mass_matrix(mass, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return (M, lower Cholesky of M); accepts None, a diagonal, or a matrix."""
-    if mass is None:
-        eye = np.eye(dim)
-        return eye, eye
-    m = np.asarray(mass, dtype=float)
-    if m.ndim == 1:
-        if m.size != dim or np.any(m <= 0):
-            raise ValueError("diagonal mass matrix must be positive with matching length")
-        return np.diag(m), np.diag(np.sqrt(m))
-    if m.shape != (dim, dim):
-        raise ValueError(f"mass matrix must be {dim}x{dim}")
-    try:
-        return m, np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"mass matrix is not positive definite: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class HmcParams:
-    """Leapfrog steps, step size and mass matrix; trajectory time is n_steps * step_size."""
+    """Leapfrog steps, step size and mass matrix; trajectory time is n_steps * step_size.
+
+    ``mass_matrix`` is ``None`` (the identity), a vector of positive
+    diagonal entries, or a symmetric positive-definite matrix.  It is
+    validated and stored as a dense matrix at construction, and its factor
+    (see :func:`~hughop.metric.factor`) is computed once into
+    ``mass_factor``.
+    """
 
     n_steps: int
     step_size: float
     mass_matrix: np.ndarray | None = None
+    mass_factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_steps < 0 or int(self.n_steps) != self.n_steps:
             raise ValueError("n_steps must be a nonnegative integer")
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
+        if self.mass_matrix is not None:
+            mass = np.asarray(self.mass_matrix, dtype=float)
+            mass, a0 = checked_factor(np.diag(mass) if mass.ndim == 1 else mass, "mass_matrix")
+            object.__setattr__(self, "mass_matrix", mass)
+            object.__setattr__(self, "mass_factor", a0)
 
 
 @dataclass(frozen=True)
@@ -125,9 +120,7 @@ def leapfrog(
     """
     x = np.asarray(x, dtype=float).copy()
     p = np.asarray(p, dtype=float).copy()
-    mass = None
-    if params.mass_matrix is not None:
-        mass, _ = _as_mass_matrix(params.mass_matrix, x.size)
+    mass = params.mass_matrix
     solve = (lambda q: q) if mass is None else (lambda q: np.linalg.solve(mass, q))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
@@ -166,12 +159,9 @@ def hmc_step(
 ) -> tuple[ChainState, StepOutcome]:
     """One HMC move: sample momentum, integrate, accept on the energy error."""
     x = state.position
-    if params.mass_matrix is None:  # identity mass: p0 = z, no eye(d) to build
-        mass, chol = None, None
-    else:
-        mass, chol = _as_mass_matrix(params.mass_matrix, x.size)
+    mass = params.mass_matrix
     z = rng.standard_normal(x.size)
-    p0 = z if chol is None else chol @ z
+    p0 = z if mass is None else params.mass_factor.T @ z
     kinetic0 = 0.5 * float(z @ z)  # p0' M^-1 p0 / 2 computed in whitened form
 
     log_alpha = -np.inf
@@ -182,7 +172,7 @@ def hmc_step(
         y, p1 = leapfrog(target, x, p0, params)
         with np.errstate(over="ignore", invalid="ignore"):
             y_logp = target.log_density(y)
-            if params.mass_matrix is None:
+            if mass is None:
                 kinetic1 = 0.5 * float(p1 @ p1)
             else:
                 kinetic1 = 0.5 * float(p1 @ np.linalg.solve(mass, p1))

@@ -93,8 +93,9 @@ def _cmd_tune(args) -> int:
     config = _load_config(args)
     result = grid_tune(config)
     if args.out:
-        write_rows_csv(Path(args.out) / "tune_table.csv", result.table, config)
-        (Path(args.out) / "best.json").write_text(
+        out = _out_dir(args)
+        write_rows_csv(out / "tune_table.csv", result.table, config)
+        (out / "best.json").write_text(
             json.dumps({"best": result.best, "score": result.best_score}, sort_keys=True)
         )
     print(json.dumps({"best": result.best, "score": result.best_score}, sort_keys=True))
@@ -162,7 +163,7 @@ def _cmd_theorem2(args) -> int:
         seed=args.seed or 0,
     )
     if args.out:
-        (Path(args.out) / "theorem2.json").write_text(json.dumps(result, sort_keys=True))
+        (_out_dir(args) / "theorem2.json").write_text(json.dumps(result, sort_keys=True))
     print(json.dumps(result, sort_keys=True))
     return 0
 

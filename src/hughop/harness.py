@@ -32,8 +32,8 @@ from .exceptions import (
     NonFiniteInputError,
     TrajectoryError,
 )
-from .hop import HopKernel, HopParams, default_lam
-from .hug import HugKernel, HugParams, hug_trajectory
+from .hop import HopKernel, HopParams, default_lam, hop_log_density, hop_propose
+from .hug import HugKernel, HugParams, hug_kernel_step, hug_trajectory
 from .state import ChainState
 from .targets import TargetModel, make_target
 
@@ -61,7 +61,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _hug_from_spec(spec: dict, where: str) -> HugKernel:
+def _hug_from_spec(spec: dict) -> HugKernel:
     kwargs = dict(
         total_time=float(spec.pop("T", 1.0)),
         n_bounces=int(spec.pop("B", 10)),
@@ -73,13 +73,10 @@ def _hug_from_spec(spec: dict, where: str) -> HugKernel:
         kwargs["precond_cov"] = np.asarray(spec.pop("precond_cov"), dtype=float)
     if "zero_grad_tol" in spec:
         kwargs["zero_grad_tol"] = float(spec.pop("zero_grad_tol"))
-    try:
-        return HugKernel(HugParams(**kwargs))
-    except ValueError as exc:
-        raise ConfigError(where, str(exc))
+    return HugKernel(HugParams(**kwargs))
 
 
-def _hop_from_spec(spec: dict, where: str, dim: int | None) -> HopKernel:
+def _hop_from_spec(spec: dict, dim: int | None) -> HopKernel:
     lam = spec.pop("lambda", spec.pop("lam", None))
     if lam is None:
         lam = default_lam(dim) if dim else 1.0
@@ -93,10 +90,7 @@ def _hop_from_spec(spec: dict, where: str, dim: int | None) -> HopKernel:
         kwargs["mu"] = float(spec.pop("mu"))
     else:
         kwargs["kappa"] = float(spec.pop("kappa", 0.5))
-    try:
-        return HopKernel(HopParams(**kwargs))
-    except ValueError as exc:
-        raise ConfigError(where, str(exc))
+    return HopKernel(HopParams(**kwargs))
 
 
 def make_kernel(spec: dict, dim: int | None = None, where: str = "kernel"):
@@ -108,18 +102,20 @@ def make_kernel(spec: dict, dim: int | None = None, where: str = "kernel"):
         raise ConfigError(where, "missing 'kernel' name entry")
     try:
         if name == "hug":
-            built = _hug_from_spec(spec, where)
+            built = _hug_from_spec(spec)
         elif name == "hop":
-            built = _hop_from_spec(spec, where, dim)
+            built = _hop_from_spec(spec, dim)
         elif name == "hmc":
-            mass = spec.pop("mass_matrix", None)
             built = HmcKernel(
                 HmcParams(
                     n_steps=int(spec.pop("L", 10)),
                     step_size=float(spec.pop("step_size", spec.pop("delta", 0.1))),
-                    mass_matrix=None if mass is None else np.asarray(mass, dtype=float),
+                    mass_matrix=spec.pop("mass_matrix", None),
                 )
             )
+            mass = built.params.mass_matrix
+            if mass is not None and dim is not None and mass.shape != (dim, dim):
+                raise ValueError(f"mass_matrix must be {dim}x{dim}, got shape {mass.shape}")
         elif name == "rwm":
             cov = spec.pop("cov", None)
             built = RwmKernel(
@@ -133,9 +129,11 @@ def make_kernel(spec: dict, dim: int | None = None, where: str = "kernel"):
         elif name == "mala":
             built = MalaKernel(MalaParams(step_scale=float(spec.pop("step_scale", 0.5))))
         else:
-            raise ConfigError(where, f"unknown kernel {name!r}")
+            built = None
     except ValueError as exc:
         raise ConfigError(where, str(exc))
+    if built is None:
+        raise ConfigError(where, f"unknown kernel {name!r}")
     if spec:
         raise ConfigError(where, f"unknown parameters for kernel {name!r}: {sorted(spec)}")
     return built
@@ -517,11 +515,13 @@ def hug_efficiency_experiment(
 ) -> list[dict]:
     """Proposal-quality sweep over (bounce count, integration time).
 
-    For every grid cell, draws ``n_reps`` exact target samples, applies one
-    hug proposal to each, and records the acceptance probability ``alpha``
-    and the squared jump distance.  The efficiency column is
-    mean(alpha * ||x' - x||^2) / (dim * n_bounces): acceptance-weighted
-    squared movement per unit of gradient work.
+    For every grid cell, draws ``n_reps`` exact target samples and applies
+    one :func:`~hughop.hug.hug_kernel_step` to each, with an isotropic
+    velocity, recording the step's acceptance probability ``alpha`` and the
+    squared distance to its proposal.  A step whose trajectory fails scores
+    alpha = 0 with its proposal at the start, so a zero jump.  The
+    efficiency column is mean(alpha * ||x' - x||^2) / (dim * n_bounces):
+    acceptance-weighted squared movement per unit of gradient work.
     """
     if not target.has_exact_sampler:
         raise ValueError(f"{target.name}: hug efficiency sweep needs exact sampling")
@@ -544,22 +544,10 @@ def hug_efficiency_experiment(
             alphas = np.empty(n_reps)
             sq_jumps = np.empty(n_reps)
             starts = target.sample_exact(rng, n_reps)
-            for i in range(n_reps):
-                x0 = starts[i]
-                v0 = rng.standard_normal(target.dim)
-                try:
-                    traj = hug_trajectory(target, x0, v0, params)
-                    log_alpha = (
-                        target.log_density(traj.x)
-                        - 0.5 * float(traj.v @ traj.v)
-                        - target.log_density(x0)
-                        + 0.5 * float(v0 @ v0)
-                    )
-                    alphas[i] = np.exp(min(0.0, log_alpha))
-                    sq_jumps[i] = float(np.sum((traj.x - x0) ** 2))
-                except (TrajectoryError, NonFiniteInputError):
-                    alphas[i] = 0.0
-                    sq_jumps[i] = 0.0
+            for i, x0 in enumerate(starts):
+                _, outcome = hug_kernel_step(target, ChainState.at(target, x0), params, rng)
+                alphas[i] = outcome.alpha
+                sq_jumps[i] = float(np.sum((outcome.proposal - x0) ** 2))
             rows.append(
                 {
                     "n_bounces": int(n_bounces),
@@ -647,9 +635,8 @@ def hop_scaling_experiment(
             iterations=int(iterations),
             burn_in=int(iterations * burn_fraction),
             record="logpi",
-            seed=0,
+            seed=seeds[cell_index],
         )
-        config.seed = seeds[cell_index]
         row = {"dim": int(dim), "lambda": float(lam), "kappa": float(kappa)}
         try:
             _, summary = run_chain(config)
@@ -659,7 +646,7 @@ def hop_scaling_experiment(
                 acceptance=summary.acceptance.get("hop"),
                 note="; ".join(summary.notes),
             )
-        except (DegenerateSeriesError, ValueError) as exc:
+        except (DegenerateSeriesError, ConfigError) as exc:
             row.update(ess_logpi=np.nan, ess_logpi_per_1000=np.nan, note=str(exc))
         rows.append(row)
     return rows
@@ -678,8 +665,10 @@ def theorem2_experiment(
     The target is a centred Gaussian whose per-component precisions are drawn
     once from ``precision_law`` (a spec like ``{"dist": "uniform", "low":
     0.5, "high": 5.0}`` or a callable ``(rng, dim) -> array``).  Every
-    iteration draws a fresh exact sample, proposes one raw-guard hop, and
-    averages the acceptance probability, so the estimate targets the exact
+    iteration draws a fresh exact sample, proposes one raw-guard hop with
+    :func:`~hughop.hop.hop_propose`, and averages the acceptance
+    probability, whose proposal densities both ways come from
+    :func:`~hughop.hop.hop_log_density`.  The estimate so targets the exact
     expectation under the stationary law rather than a chain average.
     """
     rng = np.random.default_rng(seed)
@@ -695,31 +684,19 @@ def theorem2_experiment(
         raise ConfigError("precision_law", "precisions must be positive")
 
     params = HopParams(lam=float(lam), kappa=float(kappa), guard="raw")
-    mu = params.mu
+    # x ~ N(0, P^-1), g = -P x; every x is drawn before the first proposal
     sd = 1.0 / np.sqrt(precisions)
-
-    # Vectorised over iterations: all draws are independent. x ~ N(0, P^-1),
-    # g = -P x, the jump is s [mu z + (lam - mu) ghat (ghat . z)].
-    x = rng.standard_normal((iterations, dim)) * sd
-    z = rng.standard_normal((iterations, dim))
-    g_x = -precisions * x
-    gx_norm = np.linalg.norm(g_x, axis=1, keepdims=True)
-    ghat = g_x / gx_norm
-    jump = (mu * z + (params.lam - mu) * ghat * np.sum(ghat * z, axis=1, keepdims=True)) / gx_norm
-    y = x + jump
-    g_y = -precisions * y
-
-    def _logq(w, g):
-        # rowwise version of the raw-guard hop log-density (constants kept)
-        gn2 = np.sum(g * g, axis=1)
-        dot = np.sum(w * g, axis=1)
-        wn2 = np.sum(w * w, axis=1)
-        quad = (wn2 / mu**2 + (1.0 / params.lam**2 - 1.0 / mu**2) * dot * dot / gn2) * gn2
-        log_det = -dim * np.log(gn2) + 2.0 * np.log(params.lam) + 2.0 * (dim - 1) * np.log(mu)
-        return -0.5 * quad - 0.5 * log_det
-
-    delta_logpi = -0.5 * np.sum((y * y - x * x) * precisions, axis=1)
-    log_r = delta_logpi + _logq(x - y, g_y) - _logq(y - x, g_x)
+    xs = rng.standard_normal((iterations, dim)) * sd
+    log_r = np.empty(iterations)
+    for i, x in enumerate(xs):
+        g_x = -precisions * x
+        y = hop_propose(x, g_x, params, rng)
+        g_y = -precisions * y
+        log_r[i] = (
+            -0.5 * np.sum((y * y - x * x) * precisions)
+            + hop_log_density(y, x, g_y, params).log_density
+            - hop_log_density(x, y, g_x, params).log_density
+        )
     alphas = np.exp(np.minimum(0.0, log_r))
     limit = 2.0 * ndtr(-kappa / 2.0)
     return {
@@ -784,11 +761,15 @@ def append_summary(path, summary: RunSummary, config) -> None:
 
 
 def write_rows_csv(path, rows: list[dict], config=None) -> None:
-    """Write a list of homogeneous dict rows as CSV (config header optional)."""
+    """Write a list of dict rows as CSV (config header optional).
+
+    The columns are every key of every row, in the order each first
+    appears; a row without a column leaves its cell empty.
+    """
     path = Path(path)
     if not rows:
         raise ValueError("no rows to write")
-    columns = list(rows[0].keys())
+    columns = list(dict.fromkeys(key for row in rows for key in row))
     with path.open("w") as handle:
         if config is not None:
             handle.write(_config_header(config))

@@ -98,6 +98,38 @@ class TestTune:
         best = json.loads((out / "best.json").read_text())
         assert best["best"]["kernels.0.lambda"] in (1.0, 2.0)
 
+    def test_degenerate_first_cell_keeps_every_column(self, config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(
+            ["tune", "--config", str(config_file), "--out", str(out),
+             "--set", 'grid={"kernels.1.kappa": [-1.0, 0.5]}',
+             "--set", "pilot_iterations=1200", "--set", "objective=ess_per_iteration"]
+        )
+        assert code == 0
+        lines = [l for l in (out / "tune_table.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        assert lines[0].split(",") == [
+            "kernels.1.kappa", "score", "note", "min_ess_x", "ess_logpi",
+            "min_ess_x_per_1000", "ess_logpi_per_1000", "wall_time", "acceptance",
+        ]
+        degenerate = lines[1].split(",")
+        assert degenerate[:3] == ["-1", "nan", "kernels[1]: kappa must be positive"]
+        assert degenerate[3:] == [""] * 6
+
+    @pytest.mark.parametrize(
+        "argv, written",
+        [
+            (["tune", "--set", 'grid={"kernels.1.lambda": [1.5]}',
+              "--set", "pilot_iterations=1200"], "tune_table.csv"),
+            (["theorem2", "--dim", "5", "--iters", "200"], "theorem2.json"),
+        ],
+    )
+    def test_out_directory_is_created(self, config_file, tmp_path, capsys, argv, written):
+        out = tmp_path / "new" / "dir"
+        code = main(argv + ["--config", str(config_file), "--out", str(out)])
+        assert code == 0
+        assert (out / written).exists()
+
 
 class TestExperiments:
     def test_theorem2_subcommand(self, capsys):

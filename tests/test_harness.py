@@ -67,6 +67,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown parameters"):
             make_kernel({"kernel": "mala", "step_scale": 0.5, "bogus": 1})
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kernel": "hug", "T": -1.0}, "kernels[0]: total_time must be nonnegative"),
+            ({"kernel": "hop", "kappa": -1}, "kernels[0]: kappa must be positive"),
+            ({"kernel": "nope"}, "kernels[0]: unknown kernel 'nope'"),
+        ],
+    )
+    def test_kernel_error_has_one_prefix(self, spec, message):
+        with pytest.raises(ConfigError) as info:
+            make_kernel(spec, dim=3, where="kernels[0]")
+        assert str(info.value) == message
+
     def test_kernel_registry_round_trip(self):
         for spec in (
             {"kernel": "hug", "T": 1.0, "B": 10, "mode": "hessian", "eps": 1e-6},
@@ -84,6 +97,20 @@ class TestConfig:
             base_config(
                 kernels=[{"kernel": "rwm", "local_cov": "fixed", "cov": cov}]
             ).build_kernels(2)
+
+    @pytest.mark.parametrize(
+        "mass",
+        [
+            [[1.0, 0.0], [0.0, -1.0]],  # not positive definite
+            [-1.0, 2.0],  # a negative diagonal entry
+            [[1.0, 0.5], [0.0, 1.0]],  # not symmetric
+            [1.0, 2.0, 3.0],  # wrong length
+            np.eye(3).tolist(),  # wrong size
+        ],
+    )
+    def test_bad_hmc_mass_is_config_error(self, mass):
+        with pytest.raises(ConfigError, match=r"kernels\[0\]"):
+            base_config(kernels=[{"kernel": "hmc", "mass_matrix": mass}]).build_kernels(2)
 
     def test_hop_default_scale_uses_dimension(self):
         kernel = make_kernel({"kernel": "hop"}, dim=100)
@@ -286,6 +313,25 @@ class TestHugEfficiency:
         rows = hug_efficiency_experiment(target, [64], [0.25], n_reps=200, seed=1)
         assert rows[0]["mean_alpha"] > 0.99
 
+    def test_failed_trajectories_score_zero_alpha_and_jump(self):
+        # the gradient is NaN at x[0] >= wall, so a trajectory that crosses
+        # it fails; the draws do not depend on failures, so each failing rep
+        # loses exactly its alpha and its jump
+        def walled(wall):
+            class Wall(GaussianDiag):
+                def _gradient(self, x):
+                    return super()._gradient(x) if x[0] < wall else np.full(2, np.nan)
+
+            return Wall(1.0, dim=2)
+
+        def row(target):
+            return hug_efficiency_experiment(target, [4], [1.0], n_reps=200, seed=5)[0]
+
+        free, partial, blocked = row(walled(np.inf)), row(walled(0.5)), row(walled(-np.inf))
+        assert blocked["mean_alpha"] == 0.0 and blocked["efficiency"] == 0.0
+        assert 0.0 < partial["mean_alpha"] < free["mean_alpha"]
+        assert 0.0 < partial["efficiency"] < free["efficiency"]
+
     def test_requires_exact_sampler(self):
         from hughop.targets import LogisticGaussian
 
@@ -337,39 +383,6 @@ class TestHopScaling:
 
 
 class TestTheorem2:
-    def test_vectorised_density_matches_scalar_path(self, rng):
-        # the experiment computes hop densities rowwise; pin it against the
-        # scalar implementation on a handful of rows
-        from hughop.hop import HopParams, hop_log_density
-
-        d = 6
-        lam, kappa = 2.0, 1.0
-        params = HopParams(lam=lam, kappa=kappa, guard="raw")
-        precisions = rng.uniform(0.5, 5.0, d)
-        x = rng.standard_normal(d) / np.sqrt(precisions)
-        z = rng.standard_normal(d)
-        g = -precisions * x
-        ghat = g / np.linalg.norm(g)
-        y = x + (params.mu * z + (lam - params.mu) * ghat * (ghat @ z)) / np.linalg.norm(g)
-        g_y = -precisions * y
-
-        mu = params.mu
-        def vec_logq(w, grad):
-            gn2 = grad @ grad
-            dot = w @ grad
-            quad = ((w @ w) / mu**2 + (1 / lam**2 - 1 / mu**2) * dot**2 / gn2) * gn2
-            log_det = -d * np.log(gn2) + 2 * np.log(lam) + 2 * (d - 1) * np.log(mu)
-            return -0.5 * quad - 0.5 * log_det
-
-        expect = hop_log_density(x, y, g, params).log_density
-        assert vec_logq(y - x, g) - expect == pytest.approx(
-            0.5 * d * np.log(2 * np.pi), abs=1e-8
-        )
-        expect_rev = hop_log_density(y, x, g_y, params).log_density
-        assert vec_logq(x - y, g_y) - expect_rev == pytest.approx(
-            0.5 * d * np.log(2 * np.pi), abs=1e-8
-        )
-
     def test_discrepancy_shrinks_with_dimension(self):
         errs = {}
         for dim in (20, 500):

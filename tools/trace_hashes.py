@@ -1,0 +1,184 @@
+"""SHA-256 manifest of short traces of every shipped kernel, mode and guard.
+
+A refactor that leaves the arithmetic unchanged must leave every trace
+byte-identical for the same config and seed.  This script runs a fixed set
+of short chains, hashes the recorded log-density, positions and accept
+flags of each, and writes or checks a JSON manifest of the hashes together
+with the environment they were computed in (Python, numpy, scipy, BLAS).
+Hashes are only comparable within one environment; ``--check`` reports a
+differing environment next to any mismatch.
+
+Usage, from the repository root::
+
+    python tools/trace_hashes.py --check          # compare against the manifest
+    python tools/trace_hashes.py --write          # regenerate the manifest
+
+A change that alters floating-point order regenerates the manifest and says
+so in CHANGES.md.  BLAS is pinned to one thread before numpy is imported.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import logging
+import os
+import platform
+import sys
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from hughop.baselines import HmcKernel, HmcParams  # noqa: E402
+from hughop.harness import ExperimentConfig, run_chain  # noqa: E402
+from hughop.hop import HopKernel, HopParams  # noqa: E402
+from hughop.hug import HugKernel, HugParams  # noqa: E402
+from hughop.model_runs import run_gibbs  # noqa: E402
+from hughop.models import SpatialProbitModel, simulate_spatial  # noqa: E402
+
+MANIFEST = Path(__file__).with_name("trace_hashes.json")
+
+# the lg25-plain workload's chain (perfbench/workloads.py: LG25_CONFIG)
+LG25_PLAIN = {
+    "target": {"target": "lg", "a": 5.0, "scales": "U", "dim": 25},
+    "kernels": [
+        {"kernel": "hug", "T": 1.0, "B": 10},
+        {"kernel": "hop", "lambda": 4.0, "kappa": 0.5},
+    ],
+    "iterations": 4000,
+    "burn_in": 1000,
+    "record": "full",
+}
+
+LG5 = {"target": "lg", "a": 2.0, "scales": "L", "dim": 5}
+BANANA = {"target": "banana", "dim": 4, "scales": [1.0, 0.5, 1.0, 2.0]}
+PRECOND = [[1.0, 0.3, 0.0, 0.0, 0.0],
+           [0.3, 2.0, 0.1, 0.0, 0.0],
+           [0.0, 0.1, 1.5, 0.0, 0.0],
+           [0.0, 0.0, 0.0, 3.0, 0.2],
+           [0.0, 0.0, 0.0, 0.2, 4.0]]
+
+
+def _chain(target: dict, kernels: list, iterations: int = 400) -> dict:
+    return {"target": target, "kernels": kernels, "iterations": iterations, "record": "full"}
+
+
+# name -> (config, seed); every kernel, hug mode and velocity, hop guard and
+# metric, RWM covariance, and HMC mass
+CHAINS = {
+    **{f"lg25-plain/seed{s}": (LG25_PLAIN, s) for s in (1, 2, 3)},
+    "hug-plain+hop-plus1/lg5": (_chain(LG5, [{"kernel": "hug", "T": 1.0, "B": 5},
+                                              {"kernel": "hop", "lambda": 1.5, "kappa": 0.5}]), 11),
+    "hop-raw/lg5": (_chain(LG5, [{"kernel": "hop", "lambda": 1.5, "kappa": 1.0, "guard": "raw"}]), 12),
+    "hug-precond+hop/lg5": (_chain(LG5, [{"kernel": "hug", "T": 1.0, "B": 5, "mode": "precond",
+                                          "precond_cov": PRECOND},
+                                         {"kernel": "hop", "lambda": 1.5, "kappa": 0.5}]), 13),
+    "hug-hessian+hop-hessian/lg5": (_chain(LG5, [{"kernel": "hug", "T": 0.5, "B": 5, "mode": "hessian"},
+                                                 {"kernel": "hop", "lambda": 1.5, "kappa": 0.5,
+                                                  "hessian": True}]), 14),
+    "hug-hessian+hop-hessian/banana": (_chain(BANANA, [{"kernel": "hug", "T": 0.5, "B": 5,
+                                                        "mode": "hessian"},
+                                                       {"kernel": "hop", "lambda": 1.0, "kappa": 0.5,
+                                                        "hessian": True}]), 15),
+    "hug-hessian-isotropic/banana": (_chain(BANANA, [{"kernel": "hug", "T": 0.5, "B": 5,
+                                                      "mode": "hessian", "velocity": "isotropic"}]), 16),
+    "rwm-none+mala/lg5": (_chain(LG5, [{"kernel": "rwm", "step_scale": 0.8},
+                                       {"kernel": "mala", "step_scale": 0.6}]), 17),
+    "rwm-fixed/lg5": (_chain(LG5, [{"kernel": "rwm", "step_scale": 0.8, "local_cov": "fixed",
+                                    "cov": PRECOND}]), 18),
+    "rwm-hessian/banana": (_chain(BANANA, [{"kernel": "rwm", "step_scale": 0.8,
+                                           "local_cov": "hessian"}]), 19),
+    "hmc-identity/lg5": (_chain(LG5, [{"kernel": "hmc", "L": 8, "step_size": 0.2}]), 20),
+    "hmc-diag-mass/lg5": (_chain(LG5, [{"kernel": "hmc", "L": 8, "step_size": 0.2,
+                                        "mass_matrix": [1.0, 0.5, 2.0, 1.5, 0.8]}]), 21),
+    "hmc-full-mass/lg5": (_chain(LG5, [{"kernel": "hmc", "L": 8, "step_size": 0.2,
+                                        "mass_matrix": PRECOND}]), 22),
+}
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def _chain_hash(raw: dict, seed: int) -> str:
+    trace, _ = run_chain(ExperimentConfig.from_dict({**raw, "seed": seed}))
+    accepts = [trace.accept[label] for label in sorted(trace.accept)]
+    return _digest(trace.log_target, trace.positions, *accepts)
+
+
+def _gibbs_hashes() -> dict:
+    seeds = np.random.SeedSequence(2024).spawn(3)
+    data = simulate_spatial(4, 4, float(np.log(2.0)), float(np.log(0.2)), 1.0,
+                            np.random.default_rng(seeds[0]))
+    model = SpatialProbitModel(data)
+    inner = {
+        "gibbs-hug+hop/spatial4x4": [HugKernel(HugParams(total_time=1.0, n_bounces=10)),
+                                     HopKernel(HopParams(lam=9.0, kappa=0.6))],
+        "gibbs-hmc/spatial4x4": [HmcKernel(HmcParams(n_steps=9, step_size=0.12))],
+    }
+    hashes = {}
+    for (name, kernels), seed in zip(inner.items(), seeds[1:]):
+        run = run_gibbs(model, kernels, 200, np.random.default_rng(seed), burn_in=100)
+        accepts = [run["accept"][key] for key in sorted(run["accept"])]
+        hashes[name] = _digest(run["logpi"], run["fields"], run["thetas"], *accepts)
+    return hashes
+
+
+def compute_hashes() -> dict:
+    hashes = {name: _chain_hash(raw, seed) for name, (raw, seed) in CHAINS.items()}
+    hashes.update(_gibbs_hashes())
+    return hashes
+
+
+def environment() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--check", action="store_true", help="compare against the manifest")
+    mode.add_argument("--write", action="store_true", help="regenerate the manifest")
+    args = parser.parse_args(argv)
+    logging.disable(logging.WARNING)  # the kernels' per-rejection warnings
+
+    current = {"environment": environment(), "traces": compute_hashes()}
+    if args.write:
+        MANIFEST.write_text(json.dumps(current, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {len(current['traces'])} trace hashes to {MANIFEST}")
+        return 0
+
+    recorded = json.loads(MANIFEST.read_text())
+    names = sorted(set(recorded["traces"]) | set(current["traces"]))
+    mismatched = [n for n in names if recorded["traces"].get(n) != current["traces"].get(n)]
+    for name in names:
+        status = "MISMATCH" if name in mismatched else "ok"
+        print(f"{status:8s} {name}")
+    if mismatched and recorded["environment"] != current["environment"]:
+        print(f"environment differs: manifest {recorded['environment']}, "
+              f"here {current['environment']}")
+    print(f"{len(names) - len(mismatched)}/{len(names)} traces identical")
+    return 1 if mismatched else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
