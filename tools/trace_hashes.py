@@ -38,11 +38,18 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from hughop.baselines import HmcKernel, HmcParams  # noqa: E402
-from hughop.harness import ExperimentConfig, run_chain  # noqa: E402
+from hughop.harness import ExperimentConfig, run_chain, run_kernels  # noqa: E402
 from hughop.hop import HopKernel, HopParams  # noqa: E402
 from hughop.hug import HugKernel, HugParams  # noqa: E402
 from hughop.model_runs import run_gibbs  # noqa: E402
-from hughop.models import SpatialProbitModel, simulate_spatial  # noqa: E402
+from hughop.models import (  # noqa: E402
+    CauchitPosterior,
+    RaschPosterior,
+    SpatialProbitModel,
+    simulate_cauchit,
+    simulate_rasch,
+    simulate_spatial,
+)
 
 MANIFEST = Path(__file__).with_name("trace_hashes.json")
 
@@ -58,7 +65,23 @@ LG25_PLAIN = {
     "record": "full",
 }
 
+# the lg100-hessian workload's chain (perfbench/workloads.py: LG100_CONFIG),
+# recording positions too so that they are hashed
+LG100_HESSIAN = {
+    "target": {"target": "lg", "a": 5.0, "scales": "U", "dim": 100},
+    "kernels": [
+        {"kernel": "hug", "T": 0.25, "B": 10, "mode": "hessian"},
+        {"kernel": "hop", "lambda": 4.0, "kappa": 0.5, "hessian": True},
+    ],
+    "iterations": 150,
+    "burn_in": 0,
+    "record": "full",
+}
+
 LG5 = {"target": "lg", "a": 2.0, "scales": "L", "dim": 5}
+GAUSS25L = {"target": "gauss", "scales": "L", "dim": 25}
+QG25L = {"target": "qg", "scales": "L", "dim": 25}
+
 BANANA = {"target": "banana", "dim": 4, "scales": [1.0, 0.5, 1.0, 2.0]}
 PRECOND = [[1.0, 0.3, 0.0, 0.0, 0.0],
            [0.3, 2.0, 0.1, 0.0, 0.0],
@@ -71,10 +94,20 @@ def _chain(target: dict, kernels: list, iterations: int = 400) -> dict:
     return {"target": target, "kernels": kernels, "iterations": iterations, "record": "full"}
 
 
+def _hessian_hug_hop(total_time: float, lam: float) -> list:
+    return [{"kernel": "hug", "T": total_time, "B": 5, "mode": "hessian"},
+            {"kernel": "hop", "lambda": lam, "kappa": 0.5, "hessian": True}]
+
+
 # name -> (config, seed); every kernel, hug mode and velocity, hop guard and
-# metric, RWM covariance, and HMC mass
+# metric, RWM covariance, HMC mass, and every diagonal-Hessian target
 CHAINS = {
     **{f"lg25-plain/seed{s}": (LG25_PLAIN, s) for s in (1, 2, 3)},
+    "lg100-hessian/seed1": (LG100_HESSIAN, 1),
+    "hug-hessian+hop-hessian/gauss25L": (_chain(GAUSS25L, _hessian_hug_hop(1.0, 2.0)), 23),
+    "hug-hessian+hop-hessian/qg25L": (_chain(QG25L, _hessian_hug_hop(0.1, 1.0)), 24),
+    "rwm-hessian/qg25L": (_chain(QG25L, [{"kernel": "rwm", "step_scale": 0.1,
+                                          "local_cov": "hessian"}]), 25),
     "hug-plain+hop-plus1/lg5": (_chain(LG5, [{"kernel": "hug", "T": 1.0, "B": 5},
                                               {"kernel": "hop", "lambda": 1.5, "kappa": 0.5}]), 11),
     "hop-raw/lg5": (_chain(LG5, [{"kernel": "hop", "lambda": 1.5, "kappa": 1.0, "guard": "raw"}]), 12),
@@ -135,9 +168,30 @@ def _gibbs_hashes() -> dict:
     return hashes
 
 
+def _model_hashes() -> dict:
+    """Chains on the cauchit (d=10) and Rasch (d=4+8) posteriors."""
+    seeds = np.random.SeedSequence(2025).spawn(5)
+    cauchit = CauchitPosterior(simulate_cauchit(200, 10, 1.0, np.random.default_rng(seeds[0])))
+    rasch = RaschPosterior(simulate_rasch(5, 8, 1.0, np.random.default_rng(seeds[1])))
+    chains = {
+        "hug+hop/cauchit": (cauchit, [HugKernel(HugParams(total_time=0.5, n_bounces=5)),
+                                      HopKernel(HopParams(lam=1.0, kappa=0.5))]),
+        "hmc/cauchit": (cauchit, [HmcKernel(HmcParams(n_steps=10, step_size=0.06))]),
+        "hug+hop/rasch": (rasch, [HugKernel(HugParams(total_time=1.0, n_bounces=5)),
+                                  HopKernel(HopParams(lam=1.5, kappa=0.5))]),
+    }
+    hashes = {}
+    for (name, (target, kernels)), seed in zip(chains.items(), seeds[2:]):
+        trace, _ = run_kernels(target, kernels, 300, np.random.default_rng(seed))
+        accepts = [trace.accept[label] for label in sorted(trace.accept)]
+        hashes[name] = _digest(trace.log_target, trace.positions, *accepts)
+    return hashes
+
+
 def compute_hashes() -> dict:
     hashes = {name: _chain_hash(raw, seed) for name, (raw, seed) in CHAINS.items()}
     hashes.update(_gibbs_hashes())
+    hashes.update(_model_hashes())
     return hashes
 
 
