@@ -103,17 +103,21 @@ def leapfrog(
     x: np.ndarray,
     p: np.ndarray,
     params: HmcParams,
-) -> tuple[np.ndarray, np.ndarray]:
+    grad: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run n_steps of the half-kick / drift / half-kick integrator.
 
     Momenta follow p ~ N(0, M) with kinetic energy p' M^-1 p / 2, so the
-    drift is x += step_size * M^-1 p.
+    drift is x += step_size * M^-1 p.  ``grad`` is the log-density gradient
+    at ``x`` when the caller has it; otherwise it is evaluated.  Returns the
+    final position, momentum and gradient.
 
     Finiteness is checked once, at the endpoint: a non-finite position
-    makes the target raise or carries into every later position, and a
-    non-finite gradient or momentum carries into the next position or the
-    final momentum.  On failure the steps are replayed with a check after
-    each sub-move, which names the failing one.
+    carries into every later position, and a non-finite gradient or
+    momentum carries into the next position or the final momentum, so the
+    unchecked pass calls the target's trusted gradient.  On failure the
+    steps are replayed with the public gradient and a check after each
+    sub-move, which names the failing one.
 
     Raises:
         TrajectoryError: on a non-finite state, identifying the step index.
@@ -123,32 +127,34 @@ def leapfrog(
     mass = params.mass_matrix
     solve = (lambda q: q) if mass is None else (lambda q: np.linalg.solve(mass, q))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = target.gradient(x) if grad is None else grad
         try:
-            x1, p1 = _leapfrog_loop(target, x, p, solve, params, checked=False)
+            x1, p1, g1 = _leapfrog_loop(target, x, p, g, solve, params, checked=False)
             if np.isfinite(x1).all() and np.isfinite(p1).all():
-                return x1, p1
+                return x1, p1, g1
         except HugHopError:  # the checked replay raises what a per-step check would
             pass
-        return _leapfrog_loop(target, x, p, solve, params, checked=True)
+        return _leapfrog_loop(target, x, p, g, solve, params, checked=True)
 
 
-def _leapfrog_loop(target, x, p, solve, params: HmcParams, checked: bool):
-    """The steps of :func:`leapfrog`; ``checked`` raises at the first
-    non-finite position, gradient or momentum."""
+def _leapfrog_loop(target, x, p, g, solve, params: HmcParams, checked: bool):
+    """The steps of :func:`leapfrog` from gradient ``g`` at ``x``;
+    ``checked`` raises at the first non-finite position, gradient or
+    momentum."""
     delta = params.step_size
-    g = target.gradient(x)
+    gradient = target.gradient if checked else target._gradient
     for step in range(params.n_steps):
         p_half = p + 0.5 * delta * g
         x = x + delta * solve(p_half)
         if checked and not np.isfinite(x).all():
             raise TrajectoryError("non-finite position in leapfrog", step)
-        g = target.gradient(x)
+        g = gradient(x)
         if checked and not np.isfinite(g).all():
             raise TrajectoryError("non-finite gradient in leapfrog", step)
         p = p_half + 0.5 * delta * g
         if checked and not np.isfinite(p).all():
             raise TrajectoryError("non-finite momentum in leapfrog", step)
-    return x, p
+    return x, p, g
 
 
 def hmc_step(
@@ -157,7 +163,12 @@ def hmc_step(
     params: HmcParams,
     rng: np.random.Generator,
 ) -> tuple[ChainState, StepOutcome]:
-    """One HMC move: sample momentum, integrate, accept on the energy error."""
+    """One HMC move: sample momentum, integrate, accept on the energy error.
+
+    The trajectory starts from the state's cached gradient, and an accepted
+    move caches the gradient at its endpoint, so a step costs n_steps
+    gradients, not n_steps + 1.
+    """
     x = state.position
     mass = params.mass_matrix
     z = rng.standard_normal(x.size)
@@ -167,11 +178,12 @@ def hmc_step(
     log_alpha = -np.inf
     proposal = x.copy()
     y_logp = None
+    y_grad = None
     energy_error = np.nan
     try:
-        y, p1 = leapfrog(target, x, p0, params)
+        y, p1, y_grad = leapfrog(target, x, p0, params, state.ensure_grad(target))
         with np.errstate(over="ignore", invalid="ignore"):
-            y_logp = target.log_density(y)
+            y_logp = target._log_density(y)
             if mass is None:
                 kinetic1 = 0.5 * float(p1 @ p1)
             else:
@@ -184,7 +196,7 @@ def hmc_step(
 
     accepted = metropolis_accept(rng, log_alpha)
     if accepted and y_logp is not None and np.isfinite(y_logp):
-        new_state = ChainState(position=proposal, logp=float(y_logp))
+        new_state = ChainState(position=proposal, logp=float(y_logp), grad=y_grad)
     else:
         accepted = False
         new_state = state
@@ -214,21 +226,22 @@ def rwm_step(
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
+            correction = 0.0
             if params.local_cov == "none":
                 y = x + s * z
-                correction = 0.0
             elif params.local_cov == "fixed":
                 y = x + s * (params.cov_factor.T @ z)
-                correction = 0.0
             else:
-                metric_x = local_covariance(target.hessian(x), params.eps)
+                metric_x = local_covariance(target._hessian(x), params.eps)
                 y = x + s * metric_x.unwhiten(z)
-                metric_y = local_covariance(target.hessian(y), params.eps)
+            target._validate(y)  # y is checked once; the trusted methods follow
+            if params.local_cov == "hessian":
+                metric_y = local_covariance(target._hessian(y), params.eps)
                 # log q(x|y) - log q(y|x); the -d log s terms cancel
                 fwd = -0.5 * metric_x.quad_inv(y - x) / s**2 - 0.5 * metric_x.log_det
                 rev = -0.5 * metric_y.quad_inv(x - y) / s**2 - 0.5 * metric_y.log_det
                 correction = rev - fwd
-            y_logp = target.log_density(y)
+            y_logp = target._log_density(y)
             if np.isfinite(y_logp):
                 raw = y_logp - state.logp + correction
                 log_alpha = min(0.0, raw) if np.isfinite(raw) else -np.inf
@@ -263,8 +276,7 @@ def mala_step(
         mean_fwd = x + 0.5 * s**2 * g_x
         y = mean_fwd + s * rng.standard_normal(x.size)
         if np.isfinite(y).all():
-            y_logp = target.log_density(y)
-            y_grad = target.gradient(y)
+            y_logp, y_grad = target._value_and_grad(y)
             if np.isfinite(y_logp) and np.isfinite(y_grad).all():
                 mean_rev = y + 0.5 * s**2 * y_grad
                 fwd = -0.5 * float(np.sum((y - mean_fwd) ** 2)) / s**2

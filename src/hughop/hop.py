@@ -204,6 +204,17 @@ def hop_log_density(
     g = np.asarray(g_at_x, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(g).all()):
         raise NonFiniteInputError("hop_log_density: non-finite input")
+    return _hop_log_density(x, y, g, params, metric)
+
+
+def _hop_log_density(
+    x: np.ndarray,
+    y: np.ndarray,
+    g: np.ndarray,
+    params: HopParams,
+    metric: LocalMetric | None,
+) -> HopProposalDensity:
+    """:func:`hop_log_density` for finite float arrays, unchecked."""
     if metric is None:
         return _whitened_log_density(y - x, g, params)
     g_t = metric.factor_dot(g)
@@ -222,9 +233,13 @@ def hop_kernel_step(
     """One Metropolis-Hastings hop move from ``state``.
 
     log r = l(y) - l(x) + log q(x|y) - log q(y|x), with both proposal
-    densities evaluated through :func:`hop_log_density`.  Proposal or density
-    failures at the proposed point reject the move, mirroring the symmetric
-    failure handling of the hug kernel.
+    densities evaluated as :func:`hop_log_density` does.  Proposal or
+    density failures at the proposed point reject the move, mirroring the
+    symmetric failure handling of the hug kernel.
+
+    The state is finite, and y, l(y) and its gradient are checked before the
+    densities, so the target's trusted methods and the unchecked density
+    are used throughout.
     """
     x = state.position
     g_x = state.ensure_grad(target)
@@ -236,22 +251,21 @@ def hop_kernel_step(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             metric_x = (
-                local_covariance(target.hessian(x), params.eps)
+                local_covariance(target._hessian(x), params.eps)
                 if params.use_hessian
                 else None
             )
             y = hop_propose(x, g_x, params, rng, metric_x)
             if np.isfinite(y).all():
-                y_logp = target.log_density(y)
-                y_grad = target.gradient(y)
+                y_logp, y_grad = target._value_and_grad(y)
                 if np.isfinite(y_logp) and np.isfinite(y_grad).all():
                     metric_y = (
-                        local_covariance(target.hessian(y), params.eps)
+                        local_covariance(target._hessian(y), params.eps)
                         if params.use_hessian
                         else None
                     )
-                    fwd = hop_log_density(x, y, g_x, params, metric_x)
-                    rev = hop_log_density(y, x, y_grad, params, metric_y)
+                    fwd = _hop_log_density(x, y, g_x, params, metric_x)
+                    rev = _hop_log_density(y, x, y_grad, params, metric_y)
                     raw = (y_logp - state.logp) + rev.log_density - fwd.log_density
                     log_alpha = min(0.0, raw) if np.isfinite(raw) else -np.inf
         except (FactorizationError, ZeroGradientError, NonFiniteInputError) as exc:

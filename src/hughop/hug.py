@@ -132,9 +132,16 @@ def reflect(v: np.ndarray, g: np.ndarray, zero_grad_tol: float = 1e-12) -> np.nd
         raise ValueError(f"shape mismatch: v {v.shape} vs g {g.shape}")
     if not (np.isfinite(v).all() and np.isfinite(g).all()):
         raise NonFiniteInputError("reflect: non-finite input")
-    norm_g = math.sqrt(g @ g)  # the sum np.linalg.norm takes, without its dispatch
+    return _reflect(v.copy(), g, math.sqrt(g @ g), zero_grad_tol)
+
+
+def _reflect(v: np.ndarray, g: np.ndarray, norm_g: float, zero_grad_tol: float) -> np.ndarray:
+    """:func:`reflect` without its checks, given ``norm_g`` = sqrt(g . g).
+
+    A NaN ``norm_g`` reflects, and so gives a NaN velocity.
+    """
     if norm_g <= zero_grad_tol:
-        return v.copy()
+        return v
     ghat = g / norm_g
     return v - 2.0 * (v @ ghat) * ghat
 
@@ -156,10 +163,21 @@ def reflect_in_metric(
     g = np.asarray(g, dtype=float)
     if not (np.isfinite(v).all() and np.isfinite(g).all()):
         raise NonFiniteInputError("reflect_in_metric: non-finite input")
+    return _reflect_in_metric(v.copy(), g, sigma, zero_grad_tol)
+
+
+def _reflect_in_metric(
+    v: np.ndarray, g: np.ndarray, sigma: np.ndarray | LocalMetric, zero_grad_tol: float
+) -> np.ndarray:
+    """:func:`reflect_in_metric` without its checks.
+
+    A non-finite quadratic form falls back to the identity, so the caller
+    must already know that ``g`` is finite.
+    """
     sg = sigma.cov_dot(g) if isinstance(sigma, LocalMetric) else sigma @ g
     denom = g @ sg
-    if not np.isfinite(denom) or denom <= zero_grad_tol:
-        return v.copy()
+    if not math.isfinite(denom) or denom <= zero_grad_tol:
+        return v
     return v - (2.0 * (v @ g) / denom) * sg
 
 
@@ -170,27 +188,43 @@ def _bounce_loop(
     params: HugParams,
     checked: bool,
 ) -> HugTrajectory:
-    """The bounce loop of :func:`hug_trajectory`; ``checked`` raises at the
-    first non-finite bounce point, gradient or velocity."""
+    """The bounce loop of :func:`hug_trajectory`.
+
+    ``checked`` calls the target's public methods and the public
+    reflections, and raises at the first non-finite bounce point, gradient
+    or velocity.  Unchecked, the loop calls the trusted methods and the
+    inner reflections, and tests only what a non-finite value could hide:
+    a gradient whose norm is not finite is tested entry by entry, because
+    the metric reflection treats a non-finite quadratic form as "no
+    reflection" and would carry a NaN gradient on as a finite velocity.
+    """
     half = 0.5 * params.step
+    tol = params.zero_grad_tol
+    gradient = target.gradient if checked else target._gradient
+    hessian = target.hessian if checked else target._hessian
     bounces = [] if params.record_bounces else None
     zero_grad = 0
     for b in range(params.n_bounces):
         x_mid = x + half * v
         if checked and not np.isfinite(x_mid).all():
             raise TrajectoryError("non-finite bounce point", b)
-        g = target.gradient(x_mid)
-        if checked and not np.isfinite(g).all():
+        g = gradient(x_mid)
+        norm_g = math.sqrt(g @ g)
+        if (checked or not math.isfinite(norm_g)) and not np.isfinite(g).all():
             raise TrajectoryError("non-finite gradient at bounce point", b)
-        if math.sqrt(g @ g) <= params.zero_grad_tol:
+        if norm_g <= tol:
             zero_grad += 1
         if params.mode == "plain":
-            v = reflect(v, g, params.zero_grad_tol)
-        elif params.mode == "precond":
-            v = reflect_in_metric(v, g, params.precond_cov, params.zero_grad_tol)
+            v = reflect(v, g, tol) if checked else _reflect(v, g, norm_g, tol)
         else:
-            metric = local_covariance(target.hessian(x_mid), params.eps)
-            v = reflect_in_metric(v, g, metric, params.zero_grad_tol)
+            if params.mode == "precond":
+                sigma = params.precond_cov
+            else:
+                sigma = local_covariance(hessian(x_mid), params.eps)
+            if checked:
+                v = reflect_in_metric(v, g, sigma, tol)
+            else:
+                v = _reflect_in_metric(v, g, sigma, tol)
         if checked and not np.isfinite(v).all():
             raise TrajectoryError("non-finite velocity after bounce", b)
         x = x_mid + half * v
@@ -211,11 +245,11 @@ def hug_trajectory(
     rerunning it from (xB, -vB) returns (x0, -v0) exactly.
 
     Finiteness is checked once, at the endpoint.  A non-finite bounce point
-    makes the target raise or carries into every later position, a
-    non-finite gradient makes the reflection raise, and a non-finite
-    velocity carries into the next position, so a finite endpoint means
-    every intermediate state was finite.  On failure the loop is replayed
-    with a check after each sub-move, which names the failing bounce.
+    carries into every later position, a non-finite gradient makes the loop
+    raise, and a non-finite velocity carries into the next position, so a
+    finite endpoint means every intermediate state was finite.  On failure
+    the loop is replayed with a check after each sub-move, which names the
+    failing bounce.
 
     Raises:
         TrajectoryError: when an intermediate state becomes non-finite; the
@@ -257,7 +291,7 @@ def _draw_velocity(
         return z, -0.5 * float(z @ z)
     if params.mode == "precond":
         return params.precond_factor.T @ z, -0.5 * float(z @ z)
-    metric = local_covariance(target.hessian(x0), params.eps)
+    metric = local_covariance(target._hessian(x0), params.eps)
     return metric.unwhiten(z), -0.5 * float(z @ z) - 0.5 * metric.log_det
 
 
@@ -273,7 +307,7 @@ def _velocity_log_density(
     if params.mode == "precond":
         w = np.linalg.solve(params.precond_factor.T, v)
         return -0.5 * float(w @ w)
-    metric = local_covariance(target.hessian(x), params.eps)
+    metric = local_covariance(target._hessian(x), params.eps)
     return -0.5 * metric.quad_inv(v) - 0.5 * metric.log_det
 
 
@@ -306,7 +340,7 @@ def hug_kernel_step(
         try:
             traj = hug_trajectory(target, x0, v0, params)
             with np.errstate(over="ignore", invalid="ignore"):
-                proposal_logp = target.log_density(traj.x)
+                proposal_logp = float(target._log_density(traj.x))
                 logq_end = _velocity_log_density(target, traj.x, traj.v, params)
             raw = (proposal_logp + logq_end) - (state.logp + logq0)
             log_alpha = min(0.0, raw) if np.isfinite(raw) else -np.inf

@@ -9,13 +9,19 @@ one eigendecomposition of the Hessian already gives.  Its factor
 A = diag(sqrt s) V' satisfies A' A = Sigma, which is the only property the
 reflection and whitening algebra relies on, so every product the kernels
 need (whitening, Sigma g, A g) costs O(d^2) and no further cubic step runs.
-A Hessian whose off-diagonal entries are all exactly zero is its own
-eigendecomposition and needs no ``eigh`` at all.
+
+A diagonal Hessian, given either as the (d,) vector of its diagonal (as
+the product-form targets return it) or as a matrix whose off-diagonal
+entries are all exactly zero, is its own eigendecomposition: it needs no
+``eigh``, V is the identity and is not stored, and every product is
+elementwise, O(d).  The log-determinant and the square roots of s are
+computed on first use, since a hug bounce needs only Sigma g.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,48 +40,72 @@ class LocalMetric:
 
     Attributes:
         eigvals: the covariance eigenvalues s, all positive.
-        eigvecs: d x d orthonormal V; column i belongs to ``eigvals[i]``.
-        log_det: log determinant of Sigma, the sum of log s.
+        eigvecs: d x d orthonormal V, column i belonging to ``eigvals[i]``;
+            ``None`` when V is the identity (a diagonal Hessian), in which
+            case every product below is elementwise.
         eps: regularisation floor used to build Sigma.
         regularized: True when the spectral-regularisation branch was taken.
+        log_det_order: for a diagonal Hessian, the Hessian diagonal, whose
+            ascending order the log-determinant is summed in (the order
+            ``eigh`` would have listed the eigenvalues in); ``None`` when
+            ``eigvals`` are already in that order.
 
+    ``log_det`` and the square roots of s are computed on first use.
     ``sigma`` and ``a`` build the dense matrices on demand; the kernels use
-    the O(d^2) products below instead.
+    the O(d^2) (diagonal: O(d)) products below instead.
     """
 
     eigvals: np.ndarray
-    eigvecs: np.ndarray
-    log_det: float
+    eigvecs: np.ndarray | None
     eps: float
     regularized: bool = False
-    _root: np.ndarray = field(init=False, repr=False, compare=False)
-    _inv_root: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._root = np.sqrt(self.eigvals)
-        self._inv_root = 1.0 / self._root
+    log_det_order: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.eigvals.size
 
+    @cached_property
+    def log_det(self) -> float:
+        """log determinant of Sigma, the sum of log s."""
+        log_s = np.log(self.eigvals)
+        if self.log_det_order is not None:
+            log_s = log_s[np.argsort(self.log_det_order)]
+        return float(np.sum(log_s))
+
+    @cached_property
+    def _root(self) -> np.ndarray:
+        return np.sqrt(self.eigvals)
+
+    @cached_property
+    def _inv_root(self) -> np.ndarray:
+        return 1.0 / self._root
+
     @property
     def sigma(self) -> np.ndarray:
         """The dense covariance V diag(s) V'."""
+        if self.eigvecs is None:
+            return np.diag(self.eigvals)
         sigma = (self.eigvecs * self.eigvals) @ self.eigvecs.T
         return 0.5 * (sigma + sigma.T)
 
     @property
     def a(self) -> np.ndarray:
         """The dense factor A = diag(sqrt s) V', with a.T @ a == sigma."""
+        if self.eigvecs is None:
+            return np.diag(self._root)
         return (self.eigvecs * self._root).T
 
     def whiten(self, v: np.ndarray) -> np.ndarray:
         """Map v to (A')^-1 v = (V' v) / sqrt s, where sigma is the identity."""
+        if self.eigvecs is None:
+            return v * self._inv_root
         return (self.eigvecs.T @ v) * self._inv_root
 
     def unwhiten(self, w: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`whiten`: returns A' w = V (sqrt s * w)."""
+        if self.eigvecs is None:
+            return self._root * w
         return self.eigvecs @ (self._root * w)
 
     def quad_inv(self, v: np.ndarray) -> float:
@@ -85,10 +115,14 @@ class LocalMetric:
 
     def cov_dot(self, g: np.ndarray) -> np.ndarray:
         """Sigma g = V (s * V' g)."""
+        if self.eigvecs is None:
+            return self.eigvals * g
         return self.eigvecs @ (self.eigvals * (self.eigvecs.T @ g))
 
     def factor_dot(self, g: np.ndarray) -> np.ndarray:
         """A g = sqrt s * V' g."""
+        if self.eigvecs is None:
+            return self._root * g
         return self._root * (self.eigvecs.T @ g)
 
 
@@ -122,14 +156,18 @@ def checked_factor(cov, name: str) -> tuple[np.ndarray, np.ndarray]:
     Raises:
         ValueError: if ``cov`` is not a square matrix or not symmetric to
             1e-10; the message names the parameter ``name``.
-        FactorizationError: if ``cov`` is not positive definite.
+        FactorizationError: if ``cov`` is not positive definite; the
+            message names the parameter ``name``.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {cov.shape}")
     if np.max(np.abs(cov - cov.T)) > 1e-10:
         raise ValueError(f"{name} must be symmetric")
-    return cov, factor(cov)
+    try:
+        return cov, factor(cov)
+    except FactorizationError as exc:
+        raise FactorizationError(f"{name} is not positive definite") from exc
 
 
 def local_covariance(hess: np.ndarray, eps: float = 1e-6) -> LocalMetric:
@@ -142,35 +180,43 @@ def local_covariance(hess: np.ndarray, eps: float = 1e-6) -> LocalMetric:
     positive definiteness.  No continuity across the branch switch is
     claimed; Metropolis corrections remain exact regardless.
 
-    A Hessian with every off-diagonal entry exactly zero skips ``eigh``: its
-    eigenvalues are the diagonal and its eigenvectors the coordinate axes,
-    kept in coordinate order so that whitened coordinates are the original
-    ones.  The log-determinant is summed in ascending Hessian-eigenvalue
-    order, as it is for the ``eigh`` result.
+    A diagonal Hessian skips ``eigh``: its eigenvalues are the diagonal and
+    its eigenvectors the coordinate axes, kept in coordinate order so that
+    whitened coordinates are the original ones, and the metric works
+    elementwise (``eigvecs`` is ``None``).  It may be passed as the (d,)
+    vector of its diagonal, which skips every O(d^2) step, or as a matrix
+    whose off-diagonal entries are all exactly zero.  The log-determinant,
+    computed on first use, is summed in ascending Hessian-eigenvalue order,
+    as it is for the ``eigh`` result.
 
     Args:
-        hess: symmetric d x d Hessian of the log-density.
+        hess: symmetric d x d Hessian of the log-density, or the (d,)
+            diagonal of a diagonal one.
         eps: positive regularisation floor.
 
     Raises:
-        FactorizationError: if ``hess`` is not square or not symmetric to 1e-8.
+        FactorizationError: if a matrix ``hess`` is not square or not
+            symmetric to 1e-8.
         NonFiniteInputError: if ``hess`` contains non-finite entries.
     """
     hess = np.asarray(hess, dtype=float)
-    if hess.ndim != 2 or hess.shape[0] != hess.shape[1]:
+    if hess.ndim == 1:
+        diag, diagonal = hess, True
+    elif hess.ndim != 2 or hess.shape[0] != hess.shape[1]:
         raise FactorizationError(f"Hessian must be square, got shape {hess.shape}")
-    diag = hess.diagonal()
-    # count_nonzero counts NaN as nonzero, so a Hessian that passes this test
-    # has exactly-zero off-diagonal entries and only its diagonal can be
-    # non-finite; it is also symmetric
-    diagonal = np.count_nonzero(hess) == np.count_nonzero(diag)
+    else:
+        diag = hess.diagonal()
+        # count_nonzero counts NaN as nonzero, so a Hessian that passes this
+        # test has exactly-zero off-diagonal entries and only its diagonal
+        # can be non-finite; it is also symmetric
+        diagonal = np.count_nonzero(hess) == np.count_nonzero(diag)
     if not np.isfinite(diag if diagonal else hess).all():
         raise NonFiniteInputError("Hessian contains non-finite entries")
     if eps <= 0:
         raise ValueError("eps must be positive")
 
     if diagonal:
-        eigvals, eigvecs = diag, np.eye(diag.size)
+        eigvals, eigvecs = diag, None
     else:
         asym = np.max(np.abs(hess - hess.T)) if hess.size else 0.0
         if asym > 1e-8:
@@ -184,13 +230,11 @@ def local_covariance(hess: np.ndarray, eps: float = 1e-6) -> LocalMetric:
         sigma_eigs = 1.0 / np.maximum(np.abs(eigvals), EIG_FLOOR) + eps
         regularized = True
 
-    log_s = np.log(sigma_eigs)
-    if diagonal:
-        log_s = log_s[np.argsort(diag)]
     return LocalMetric(
         eigvals=sigma_eigs,
         eigvecs=eigvecs,
-        log_det=float(np.sum(log_s)),
         eps=eps,
         regularized=regularized,
+        # a copy, so that the caller may reuse its array
+        log_det_order=diag.copy() if diagonal else None,
     )

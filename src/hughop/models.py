@@ -55,9 +55,14 @@ def _log_phi(z: np.ndarray) -> np.ndarray:
     return -0.5 * z * z - _LOG_ROOT_2PI
 
 
-def _mills(z: np.ndarray) -> np.ndarray:
-    """phi(z) / Phi(z), stable for very negative z."""
-    return np.exp(_log_phi(z) - log_ndtr(z))
+def _mills(z: np.ndarray, log_cdf: np.ndarray | None = None) -> np.ndarray:
+    """phi(z) / Phi(z), stable for very negative z.
+
+    ``log_cdf`` is log Phi(z) where the caller has it already.
+    """
+    if log_cdf is None:
+        log_cdf = log_ndtr(z)
+    return np.exp(_log_phi(z) - log_cdf)
 
 
 def _mills_derivative(z: np.ndarray) -> np.ndarray:
@@ -117,15 +122,26 @@ class CauchitPosterior(TargetModel):
         return self._yx @ beta
 
     def _log_density(self, beta):
-        z = self._z(beta)
-        lik = np.log(0.5 + np.arctan(z) / np.pi).sum()
-        return lik - 0.5 * self.data.tau * float(beta @ beta)
+        return self._value(beta, np.arctan(self._z(beta)))
 
     def _gradient(self, beta):
         z = self._z(beta)
+        return self._grad(beta, z, np.arctan(z))
+
+    def _value_and_grad(self, beta):
+        z = self._z(beta)
+        atan = np.arctan(z)
+        return self._value(beta, atan), self._grad(beta, z, atan)
+
+    def _value(self, beta, atan):
+        lik = np.log(0.5 + atan / np.pi).sum()
+        return lik - 0.5 * self.data.tau * float(beta @ beta)
+
+    def _grad(self, beta, z, atan):
+        """The gradient from z = yx beta and atan z; overwrites both."""
         # 1 / ((1 + z^2) (pi/2 + atan z)), built in place: the same rounding
         # as the plain expression, with fewer temporaries
-        denom = np.arctan(z)
+        denom = atan
         denom += 0.5 * np.pi
         z *= z
         z += 1.0
@@ -195,16 +211,27 @@ class RaschPosterior(TargetModel):
         return self.data.responses * (ability[None, :] - difficulty[:, None])
 
     def _log_density(self, x):
-        z = self._signed_scores(x)
-        difficulty, ability = self.split(x)
-        prior = -0.5 * self.data.tau * (float(difficulty @ difficulty) + float(ability @ ability))
-        return float(np.sum(log_ndtr(z))) + prior
+        return self._value(x, log_ndtr(self._signed_scores(x)))
 
     def _gradient(self, x):
         z = self._signed_scores(x)
-        ym = self.data.responses * _mills(z)  # y_ij phi/Phi per cell
-        grad_difficulty = -np.sum(ym, axis=1) - self.data.tau * self.split(x)[0]
-        grad_ability = np.sum(ym, axis=0) - self.data.tau * self.split(x)[1]
+        return self._grad(x, z, log_ndtr(z))
+
+    def _value_and_grad(self, x):
+        z = self._signed_scores(x)
+        log_cdf = log_ndtr(z)
+        return self._value(x, log_cdf), self._grad(x, z, log_cdf)
+
+    def _value(self, x, log_cdf):
+        difficulty, ability = self.split(x)
+        prior = -0.5 * self.data.tau * (float(difficulty @ difficulty) + float(ability @ ability))
+        return float(np.sum(log_cdf)) + prior
+
+    def _grad(self, x, z, log_cdf):
+        difficulty, ability = self.split(x)
+        ym = self.data.responses * _mills(z, log_cdf)  # y_ij phi/Phi per cell
+        grad_difficulty = -np.sum(ym, axis=1) - self.data.tau * difficulty
+        grad_ability = np.sum(ym, axis=0) - self.data.tau * ability
         return np.concatenate([grad_difficulty[1:], grad_ability])
 
     def _hessian(self, x):
@@ -322,15 +349,29 @@ class SpatialConditionalTarget(TargetModel):
         return self.data.responses * (self.a.T @ z)
 
     def _log_density(self, z):
-        prior = -0.5 * float(z @ z)
         if self.prior_only:
-            return prior
-        return float(np.sum(log_ndtr(self._signed_field(z)))) + prior
+            return -0.5 * float(z @ z)
+        return self._value(z, log_ndtr(self._signed_field(z)))
 
     def _gradient(self, z):
         if self.prior_only:
             return -z
-        w = self.data.responses * _mills(self._signed_field(z))
+        field = self._signed_field(z)
+        return self._grad(z, field, log_ndtr(field))
+
+    def _value_and_grad(self, z):
+        if self.prior_only:
+            return super()._value_and_grad(z)
+        field = self._signed_field(z)
+        log_cdf = log_ndtr(field)
+        return self._value(z, log_cdf), self._grad(z, field, log_cdf)
+
+    def _value(self, z, log_cdf):
+        prior = -0.5 * float(z @ z)
+        return float(np.sum(log_cdf)) + prior
+
+    def _grad(self, z, field, log_cdf):
+        w = self.data.responses * _mills(field, log_cdf)
         return self.a @ w - z
 
     def _hessian(self, z):

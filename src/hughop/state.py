@@ -17,6 +17,11 @@ class ChainState:
 
     Kernels read the caches instead of re-evaluating the target; the gradient
     is filled in on first use so gradient-free kernels never pay for it.
+
+    The position is finite by construction: :meth:`at` validates it, and a
+    kernel builds a new state only from a proposal it has checked.  So the
+    target's trusted methods may be called on it, and ``logp`` and ``grad``
+    equal what the public methods return there.
     """
 
     position: np.ndarray
@@ -33,7 +38,7 @@ class ChainState:
 
     def ensure_grad(self, target: TargetModel) -> np.ndarray:
         if self.grad is None:
-            self.grad = target.gradient(self.position)
+            self.grad = target._gradient(self.position)
         return self.grad
 
     @property

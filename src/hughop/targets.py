@@ -1,10 +1,13 @@
 """Target distributions: the sampling interface and the toy test suite.
 
 Every target exposes an unnormalised log-density together with its analytic
-gradient and (where available) Hessian.  Normalisation constants that do not
-depend on the state are dropped throughout; each class documents which
-constant was dropped.  Acceptance ratios only ever use differences of
-log-densities, so the convention is harmless.
+gradient and (where available) Hessian, in two tiers: public methods that
+validate their input, and trusted private ones that the kernels call on
+states already known to be finite (see :class:`TargetModel`).
+Normalisation constants that do not depend on the state are dropped
+throughout; each class documents which constant was dropped.  Acceptance
+ratios only ever use differences of log-densities, so the convention is
+harmless.
 
 The module also provides the ``U`` (unit) and ``L`` (linear) scale presets,
 a name-based registry used by the experiment harness, and the standard
@@ -83,6 +86,26 @@ def _sech2(u: np.ndarray) -> np.ndarray:
 class TargetModel(ABC):
     """Interface for an unnormalised target distribution.
 
+    The evaluation methods come in two tiers.
+
+    * Public ``log_density``, ``gradient`` and ``hessian`` accept any array
+      of length ``dim``, raise :class:`~hughop.exceptions.NonFiniteInputError`
+      on a non-finite entry, and return a float, a (d,) gradient and a dense
+      d x d Hessian.
+    * Private ``_log_density``, ``_gradient``, ``_value_and_grad`` and
+      ``_hessian`` trust their input to be a finite (d,) float array and do
+      no checking.  The kernels call them on states that are finite by
+      construction: the start was validated by ``ChainState.at`` and every
+      accepted proposal was checked.  ``_hessian`` may return the (d,)
+      vector of a diagonal Hessian instead of the matrix;
+      :func:`~hughop.metric.local_covariance` accepts both.
+
+    A subclass implements ``_log_density`` and ``_gradient``, and
+    ``_hessian`` where available.  ``_value_and_grad`` returns both values
+    and by default makes the two calls; a target whose two evaluations share
+    work overrides it, and then so must any subclass that overrides one of
+    the two.
+
     Attributes:
         dim: Dimension of the state space.
         name: Short identifier used in configs and reports.
@@ -110,8 +133,9 @@ class TargetModel(ABC):
         return self._gradient(self._validate(x))
 
     def hessian(self, x) -> np.ndarray:
-        """Analytic Hessian of the log-density at ``x``."""
-        return self._hessian(self._validate(x))
+        """Analytic Hessian of the log-density at ``x``, a d x d matrix."""
+        hess = self._hessian(self._validate(x))
+        return np.diag(hess) if hess.ndim == 1 else hess
 
     @property
     def has_exact_sampler(self) -> bool:
@@ -126,6 +150,10 @@ class TargetModel(ABC):
 
     @abstractmethod
     def _gradient(self, x: np.ndarray) -> np.ndarray: ...
+
+    def _value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(log-density, gradient) at ``x``, the values the two methods give."""
+        return self._log_density(x), self._gradient(x)
 
     def _hessian(self, x: np.ndarray) -> np.ndarray:
         raise NoHessianError(f"{self.name}: Hessian not available")
@@ -163,7 +191,6 @@ class GaussianDiag(_ScaledProductTarget):
     def __init__(self, scales=1.0, dim: int | None = None):
         super().__init__(scales, dim)
         self._inv_var = 1.0 / self.scales**2
-        self._hess = -np.diag(self._inv_var)
 
     def _log_density(self, x):
         return -0.5 * (x * x * self._inv_var).sum()
@@ -172,7 +199,7 @@ class GaussianDiag(_ScaledProductTarget):
         return -x * self._inv_var
 
     def _hessian(self, x):
-        return self._hess.copy()
+        return -self._inv_var
 
     def sample_exact(self, rng, n):
         return rng.standard_normal((n, self.dim)) * self.scales
@@ -196,20 +223,31 @@ class LogisticGaussian(_ScaledProductTarget):
             raise ValueError("a must be positive")
         super().__init__(scales, dim)
         self.a = float(a)
+        self._two_s = 2.0 * self.scales
+        self._a_s = self.a * self.scales
+        self._a_s_sq = self._a_s**2
+        self._two_s_sq = 2.0 * self.scales**2
 
     def _log_density(self, x):
-        u = x / (2.0 * self.scales)
-        quad = x / (self.a * self.scales)
-        return (-2.0 * _log_2cosh(u) - 0.5 * quad * quad).sum()
+        return self._value_from_u(x, x / self._two_s)
 
     def _gradient(self, x):
-        u = x / (2.0 * self.scales)
-        return -np.tanh(u) / self.scales - x / (self.a * self.scales) ** 2
+        return self._gradient_from_u(x, x / self._two_s)
+
+    def _value_and_grad(self, x):
+        u = x / self._two_s
+        return self._value_from_u(x, u), self._gradient_from_u(x, u)
+
+    def _value_from_u(self, x, u):
+        quad = x / self._a_s
+        return (-2.0 * _log_2cosh(u) - 0.5 * quad * quad).sum()
+
+    def _gradient_from_u(self, x, u):
+        return -np.tanh(u) / self.scales - x / self._a_s_sq
 
     def _hessian(self, x):
-        u = x / (2.0 * self.scales)
-        diag = -_sech2(u) / (2.0 * self.scales**2) - 1.0 / (self.a * self.scales) ** 2
-        return np.diag(diag)
+        u = x / self._two_s
+        return -_sech2(u) / self._two_s_sq - 1.0 / self._a_s_sq
 
 
 class QuarticGaussian(_ScaledProductTarget):
@@ -226,18 +264,20 @@ class QuarticGaussian(_ScaledProductTarget):
             raise ValueError("a must be positive")
         super().__init__(scales, dim)
         self.a = float(a)
+        self._a_s = self.a * self.scales
+        self._a_s_sq = self._a_s**2
+        self._s4 = self.scales**4
 
     def _log_density(self, x):
         r = x / self.scales
-        q = x / (self.a * self.scales)
+        q = x / self._a_s
         return np.sum(-0.5 * r**4 - 0.5 * q * q)
 
     def _gradient(self, x):
-        return -2.0 * x**3 / self.scales**4 - x / (self.a * self.scales) ** 2
+        return -2.0 * x**3 / self._s4 - x / self._a_s_sq
 
     def _hessian(self, x):
-        diag = -6.0 * x * x / self.scales**4 - 1.0 / (self.a * self.scales) ** 2
-        return np.diag(diag)
+        return -6.0 * x * x / self._s4 - 1.0 / self._a_s_sq
 
 
 class Banana2D(TargetModel):
@@ -422,7 +462,7 @@ class EmbeddedTarget(TargetModel):
     def _hessian(self, x):
         h = np.zeros((self.dim, self.dim))
         h[:2, :2] = self.head._hessian(x[:2])
-        h[2:, 2:] = self.tail._hessian(x[2:])
+        np.fill_diagonal(h[2:, 2:], self.tail._hessian(x[2:]))
         return h
 
     @property

@@ -24,7 +24,7 @@ class TestLeapfrog:
         target = GaussianDiag(scales=1.0, dim=3)
         x = rng.standard_normal(3)
         p = rng.standard_normal(3)
-        x1, p1 = leapfrog(target, x, p, HmcParams(n_steps=1, step_size=1e-8))
+        x1, p1, _ = leapfrog(target, x, p, HmcParams(n_steps=1, step_size=1e-8))
         np.testing.assert_allclose(x1, x, atol=1e-7)
         np.testing.assert_allclose(p1, p, atol=1e-7)
 
@@ -33,8 +33,8 @@ class TestLeapfrog:
         params = HmcParams(n_steps=25, step_size=0.1)
         x0 = rng.standard_normal(2)
         p0 = rng.standard_normal(2)
-        x1, p1 = leapfrog(target, x0, p0, params)
-        x2, p2 = leapfrog(target, x1, -p1, params)
+        x1, p1, _ = leapfrog(target, x0, p0, params)
+        x2, p2, _ = leapfrog(target, x1, -p1, params)
         np.testing.assert_allclose(x2, x0, atol=1e-10)
         np.testing.assert_allclose(-p2, p0, atol=1e-10)
 
@@ -50,7 +50,7 @@ class TestLeapfrog:
         steps = [0.2, 0.1, 0.05, 0.025]
         for step in steps:
             n = int(round(1.0 / step))
-            x1, p1 = leapfrog(target, x0, p0, HmcParams(n_steps=n, step_size=step))
+            x1, p1, _ = leapfrog(target, x0, p0, HmcParams(n_steps=n, step_size=step))
             errors.append(abs(ham(x1, p1) - ham(x0, p0)))
         slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
         assert 1.8 <= slope <= 2.2
@@ -83,8 +83,8 @@ class TestLeapfrog:
         p = rng.standard_normal(2)
         diag = HmcParams(n_steps=5, step_size=0.1, mass_matrix=np.array([2.0, 0.5]))
         full = HmcParams(n_steps=5, step_size=0.1, mass_matrix=np.diag([2.0, 0.5]))
-        xa, pa = leapfrog(target, x, p, diag)
-        xb, pb = leapfrog(target, x, p, full)
+        xa, pa, _ = leapfrog(target, x, p, diag)
+        xb, pb, _ = leapfrog(target, x, p, full)
         np.testing.assert_allclose(xa, xb, atol=1e-12)
         np.testing.assert_allclose(pa, pb, atol=1e-12)
 

@@ -112,6 +112,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"kernels\[0\]"):
             base_config(kernels=[{"kernel": "hmc", "mass_matrix": mass}]).build_kernels(2)
 
+    @pytest.mark.parametrize(
+        "spec,param",
+        [
+            ({"kernel": "hmc", "mass_matrix": [[1.0, 0.0], [0.0, -1.0]]}, "mass_matrix"),
+            ({"kernel": "rwm", "local_cov": "fixed", "cov": [[1.0, 0.0], [0.0, -1.0]]}, "cov"),
+            ({"kernel": "hug", "mode": "precond", "precond_cov": [[1.0, 0.0], [0.0, -1.0]]},
+             "precond_cov"),
+        ],
+    )
+    def test_non_pd_covariance_error_names_its_parameter(self, spec, param):
+        with pytest.raises(ConfigError) as info:
+            make_kernel(spec, dim=2, where="kernels[0]")
+        assert str(info.value).startswith(f"kernels[0]: {param} is not positive definite")
+
     def test_hop_default_scale_uses_dimension(self):
         kernel = make_kernel({"kernel": "hop"}, dim=100)
         assert kernel.params.lam == pytest.approx(2.5)

@@ -134,6 +134,18 @@ class TestReflectInMetric:
             assert np.linalg.norm(back - v) <= 1e-10 * (1.0 + np.linalg.norm(v))
 
 
+class Wall(GaussianDiag):
+    """The gradient is (0, 1) left of x0 = 1 and NaN beyond it.
+
+    From the origin with v = (1, 0) the velocity never reflects, so bounce
+    points sit at 0.125 + 0.25 b for T = 2, B = 8, and bounce 4 is the first
+    past the wall.
+    """
+
+    def _gradient(self, x):
+        return np.array([0.0, 1.0]) if x[0] < 1.0 else np.full(2, np.nan)
+
+
 class TestHugTrajectory:
     def test_zero_time_is_identity(self):
         t = GaussianDiag(scales=1.0, dim=2)
@@ -215,15 +227,23 @@ class TestHugTrajectory:
             hug_trajectory(target, [1e150, 1e150], [1.0, 1.0], HugParams(1.0, 3))
 
     def test_late_non_finite_gradient_names_its_bounce(self):
-        # the gradient is (0, 1) left of x0 = 1 and NaN beyond it; v = (1, 0)
-        # never reflects, so bounce points sit at 0.125 + 0.25 b and bounce 4
-        # is the first past the wall
-        class Wall(GaussianDiag):
-            def _gradient(self, x):
-                return np.array([0.0, 1.0]) if x[0] < 1.0 else np.full(2, np.nan)
-
         with pytest.raises(TrajectoryError, match="gradient") as info:
             hug_trajectory(Wall(1.0, dim=2), [0.0, 0.0], [1.0, 0.0], HugParams(2.0, 8))
+        assert info.value.step_index == 4
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            HugParams(2.0, 8, mode="precond", precond_cov=np.array([[1.0, 0.2], [0.2, 1.0]])),
+            HugParams(2.0, 8, mode="hessian"),
+        ],
+        ids=["precond", "hessian"],
+    )
+    def test_late_non_finite_gradient_names_its_bounce_in_metric_modes(self, params):
+        # v = (1, 0) stays unreflected in these metrics too, since v . g = 0;
+        # a NaN metric product must not read as "no reflection" either
+        with pytest.raises(TrajectoryError, match="gradient") as info:
+            hug_trajectory(Wall(1.0, dim=2), [0.0, 0.0], [1.0, 0.0], params)
         assert info.value.step_index == 4
 
 

@@ -1,0 +1,165 @@
+"""Contracts every shipped kernel keeps, whatever its mode.
+
+* A target's trusted ``_value_and_grad``, which the kernels call on
+  proposals, gives the bits of the public log-density and gradient.
+* The chain state's caches agree exactly with the target: after every step
+  ``state.logp`` is the log-density at ``state.position`` and ``state.grad``
+  is either unset or the gradient there.
+* A proposal whose log-density, gradient or Hessian is non-finite is
+  rejected without raising, the state is kept, and the kernel logs the same
+  warnings as it always has (none where the non-finite value is caught by a
+  plain test, one where a checked replay or a metric raised).
+"""
+
+import logging
+
+import numpy as np
+import pytest
+
+from hughop.harness import make_kernel
+from hughop.models import (
+    CauchitPosterior,
+    RaschPosterior,
+    SpatialProbitModel,
+    simulate_cauchit,
+    simulate_rasch,
+    simulate_spatial,
+)
+from hughop.state import ChainState
+from hughop.targets import TargetModel, make_target
+
+
+def _spd(dim: int) -> list:
+    return (0.5 * np.eye(dim) + 0.1 * np.ones((dim, dim))).tolist()
+
+
+def kernel_specs(dim: int) -> dict:
+    """Every shipped kernel, hug mode and velocity, hop guard and metric,
+    RWM covariance and HMC mass."""
+    return {
+        "hug-plain": {"kernel": "hug", "T": 0.5, "B": 4},
+        "hug-precond": {"kernel": "hug", "T": 0.5, "B": 4, "mode": "precond",
+                        "precond_cov": _spd(dim)},
+        "hug-hessian": {"kernel": "hug", "T": 0.5, "B": 4, "mode": "hessian"},
+        "hug-hessian-isotropic": {"kernel": "hug", "T": 0.5, "B": 4, "mode": "hessian",
+                                  "velocity": "isotropic"},
+        "hop-plus1": {"kernel": "hop", "lambda": 1.0, "kappa": 0.5},
+        "hop-raw": {"kernel": "hop", "lambda": 1.0, "kappa": 0.5, "guard": "raw"},
+        "hop-hessian": {"kernel": "hop", "lambda": 1.0, "kappa": 0.5, "hessian": True},
+        "rwm-none": {"kernel": "rwm", "step_scale": 0.3},
+        "rwm-fixed": {"kernel": "rwm", "step_scale": 0.3, "local_cov": "fixed", "cov": _spd(dim)},
+        "rwm-hessian": {"kernel": "rwm", "step_scale": 0.3, "local_cov": "hessian"},
+        "mala": {"kernel": "mala", "step_scale": 0.3},
+        "hmc-identity": {"kernel": "hmc", "L": 4, "step_size": 0.1},
+        "hmc-diag-mass": {"kernel": "hmc", "L": 4, "step_size": 0.1,
+                          "mass_matrix": np.linspace(0.5, 2.0, dim).tolist()},
+        "hmc-full-mass": {"kernel": "hmc", "L": 4, "step_size": 0.1, "mass_matrix": _spd(dim)},
+    }
+
+
+def _spatial_target(rng):
+    data = simulate_spatial(3, 3, float(np.log(2.0)), float(np.log(0.2)), 1.0, rng)
+    return SpatialProbitModel(data).conditional_target((np.log(2.0), np.log(0.2)))
+
+
+TARGETS = {
+    "gauss": lambda rng: make_target({"target": "gauss", "scales": "L", "dim": 4}),
+    "lg": lambda rng: make_target({"target": "lg", "a": 2.0, "scales": "L", "dim": 5}),
+    "qg": lambda rng: make_target({"target": "qg", "scales": "L", "dim": 3}),
+    "banana-embedded": lambda rng: make_target(
+        {"target": "banana", "dim": 4, "scales": [1.0, 0.5, 1.0, 2.0]}),
+    "cauchit": lambda rng: CauchitPosterior(simulate_cauchit(40, 4, 1.0, rng)),
+    "rasch": lambda rng: RaschPosterior(simulate_rasch(4, 5, 1.0, rng)),
+    "spatial": _spatial_target,
+}
+
+
+@pytest.mark.parametrize("name", list(TARGETS))
+def test_value_and_grad_gives_the_bits_of_the_two_calls(name):
+    rng = np.random.default_rng(30)
+    target = TARGETS[name](rng)
+    for _ in range(5):
+        x = rng.standard_normal(target.dim)
+        value, grad = target._value_and_grad(x)
+        assert value == target.log_density(x)
+        np.testing.assert_array_equal(grad, target.gradient(x))
+
+
+@pytest.mark.parametrize("name", list(TARGETS))
+def test_cached_state_matches_target_after_every_step(name):
+    rng = np.random.default_rng(31)
+    target = TARGETS[name](rng)
+    kernels = [make_kernel(spec, dim=target.dim, where=label)
+               for label, spec in kernel_specs(target.dim).items()]
+    state = ChainState.at(target, 0.3 * rng.standard_normal(target.dim))
+    accepted = 0
+    for sweep in range(15):
+        for kernel in kernels:
+            state, outcome = kernel.step(target, state, rng)
+            accepted += outcome.accepted
+            where = f"{name}, sweep {sweep}, after {kernel.name}"
+            assert np.array_equal(state.logp, target.log_density(state.position)), where
+            assert state.grad is None or np.array_equal(
+                state.grad, target.gradient(state.position)), where
+    assert accepted > 0
+
+
+class Poisoned(TargetModel):
+    """Standard normal whose log-density, gradient or Hessian is NaN at every
+    point other than ``start``."""
+
+    name = "poisoned"
+
+    def __init__(self, start, poison: str):
+        self.start = np.asarray(start, dtype=float)
+        self.dim = self.start.size
+        self.poison = poison
+
+    def _away(self, x) -> bool:
+        return not np.array_equal(x, self.start)
+
+    def _log_density(self, x):
+        return np.nan if self.poison == "logp" and self._away(x) else -0.5 * float(x @ x)
+
+    def _gradient(self, x):
+        return np.full(self.dim, np.nan) if self.poison == "grad" and self._away(x) else -x
+
+    def _hessian(self, x):
+        if self.poison == "hess" and self._away(x):
+            return np.full((self.dim, self.dim), np.nan)
+        return -np.eye(self.dim)
+
+
+GRADIENT_WARNING = {
+    "hug": "hug: trajectory rejected (non-finite gradient at bounce point (step 0))",
+    "hmc": "hmc: trajectory rejected (non-finite gradient in leapfrog (step 0))",
+}
+HESSIAN_WARNING = {
+    "hug": "hug: trajectory rejected (Hessian contains non-finite entries)",
+    "hop": "hop: proposal rejected (Hessian contains non-finite entries)",
+    "rwm": "rwm: proposal rejected (Hessian contains non-finite entries)",
+}
+POISONED_CASES = [
+    (label, poison)
+    for label in ("hug-plain", "hug-precond", "hug-hessian", "hop-plus1", "hop-hessian",
+                  "hmc-identity", "mala", "rwm-hessian")
+    for poison in ("logp", "grad", "hess")
+    if poison != "hess" or "hessian" in label
+    if poison != "grad" or label != "rwm-hessian"
+]
+
+
+@pytest.mark.parametrize("label,poison", POISONED_CASES)
+def test_non_finite_proposal_rejects_with_the_same_warnings(label, poison, caplog):
+    target = Poisoned([0.3, -0.2, 0.5], poison)
+    kernel = make_kernel(kernel_specs(3)[label], dim=3, where=label)
+    state = ChainState.at(target, target.start, with_grad=True)
+    with caplog.at_level(logging.WARNING, logger="hughop"):
+        new_state, outcome = kernel.step(target, state, np.random.default_rng(0))
+    assert not outcome.accepted
+    assert outcome.log_alpha == -np.inf
+    assert new_state is state
+    np.testing.assert_array_equal(new_state.position, target.start)
+    warnings = {"grad": GRADIENT_WARNING, "hess": HESSIAN_WARNING}.get(poison, {})
+    expected = [warnings[kernel.name]] if kernel.name in warnings else []
+    assert [record.getMessage() for record in caplog.records] == expected

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hughop.exceptions import FactorizationError, NonFiniteInputError
-from hughop.metric import EIG_FLOOR, factor, local_covariance
+from hughop.metric import EIG_FLOOR, LocalMetric, factor, local_covariance
 
 
 def random_spd(rng, d, spread=2.0):
@@ -133,6 +133,29 @@ class TestLocalCovariance:
         np.testing.assert_allclose(m.a.T @ m.a, sigma, rtol=1e-15, atol=0.0)
         assert m.log_det == pytest.approx(log_det, rel=1e-15, abs=1e-15)
         assert m.regularized == regularized
+
+    @pytest.mark.parametrize("diag,eps", DIAGONAL_CASES)
+    def test_vector_hessian_matches_identity_eigenbasis_bitwise(self, diag, eps, count_eigh, rng):
+        # a diagonal Hessian, as a vector or as a matrix, works elementwise
+        # and gives the bits that an explicit identity eigenbasis gives
+        m = local_covariance(np.array(diag), eps=eps)
+        dense = local_covariance(np.diag(diag), eps=eps)
+        assert count_eigh == []
+        assert m.eigvecs is None and dense.eigvecs is None
+        np.testing.assert_array_equal(m.eigvals, dense.eigvals)
+        assert m.regularized == dense.regularized
+        eye = LocalMetric(eigvals=m.eigvals, eigvecs=np.eye(len(diag)), eps=eps,
+                          log_det_order=np.array(diag))
+        assert m.log_det == dense.log_det == eye.log_det
+        v = rng.standard_normal(len(diag))
+        for op in ("whiten", "unwhiten", "cov_dot", "factor_dot"):
+            np.testing.assert_array_equal(getattr(m, op)(v), getattr(eye, op)(v))
+        np.testing.assert_array_equal(m.sigma, eye.sigma)
+        np.testing.assert_array_equal(m.a, eye.a)
+
+    def test_non_finite_vector_hessian_rejected(self):
+        with pytest.raises(NonFiniteInputError, match="Hessian contains non-finite entries"):
+            local_covariance(np.array([-1.0, np.nan]))
 
     @pytest.mark.parametrize("diag,eps", DIAGONAL_CASES)
     def test_tiny_off_diagonal_takes_dense_path(self, diag, eps, count_eigh):

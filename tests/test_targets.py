@@ -94,6 +94,18 @@ class TestDerivativeOracles:
             h = target.hessian(rng.standard_normal(target.dim))
             assert np.max(np.abs(h - h.T)) <= 1e-10
 
+    @pytest.mark.parametrize("target", all_targets(), ids=lambda t: t.name)
+    def test_private_hessian_densifies_to_the_public_one(self, target, rng):
+        # gauss, lg and qg hand their diagonal to the kernels as a vector;
+        # the public method still returns the d x d matrix
+        x = rng.standard_normal(target.dim)
+        private = target._hessian(x)
+        assert private.shape == ((target.dim,) if target.name in ("gauss", "lg", "qg")
+                                 else (target.dim, target.dim))
+        public = target.hessian(x)
+        assert public.shape == (target.dim, target.dim)
+        np.testing.assert_array_equal(np.diag(private) if private.ndim == 1 else private, public)
+
     def test_banana_gradient_at_spec_point(self):
         t = Banana2D(a=1.0, c=1.0)
         x = np.array([0.3, -0.7])
