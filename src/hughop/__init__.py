@@ -35,7 +35,7 @@ from .hug import (
     reflect,
     reflect_in_metric,
 )
-from .metric import LocalMetric, factor, local_covariance
+from .metric import LocalMetric, local_covariance
 from .state import ChainState, StepOutcome
 from .targets import (
     Banana2D,

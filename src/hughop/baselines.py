@@ -37,7 +37,7 @@ class HmcParams:
     ``mass_matrix`` is ``None`` (the identity), a vector of positive
     diagonal entries, or a symmetric positive-definite matrix.  It is
     validated and stored as a dense matrix at construction, and its factor
-    (see :func:`~hughop.metric.factor`) is computed once into
+    (see :func:`~hughop.metric.checked_factor`) is computed once into
     ``mass_factor``.
     """
 
@@ -115,9 +115,8 @@ def leapfrog(
     Finiteness is checked once, at the endpoint: a non-finite position
     carries into every later position, and a non-finite gradient or
     momentum carries into the next position or the final momentum, so the
-    unchecked pass calls the target's trusted gradient.  On failure the
-    steps are replayed with the public gradient and a check after each
-    sub-move, which names the failing one.
+    steps call the target's trusted gradient.  On failure the steps are
+    replayed with a check after each sub-move, which names the failing one.
 
     Raises:
         TrajectoryError: on a non-finite state, identifying the step index.
@@ -140,15 +139,14 @@ def leapfrog(
 def _leapfrog_loop(target, x, p, g, solve, params: HmcParams, checked: bool):
     """The steps of :func:`leapfrog` from gradient ``g`` at ``x``;
     ``checked`` raises at the first non-finite position, gradient or
-    momentum."""
+    momentum, so the trusted gradient only sees checked positions."""
     delta = params.step_size
-    gradient = target.gradient if checked else target._gradient
     for step in range(params.n_steps):
         p_half = p + 0.5 * delta * g
         x = x + delta * solve(p_half)
         if checked and not np.isfinite(x).all():
             raise TrajectoryError("non-finite position in leapfrog", step)
-        g = gradient(x)
+        g = target._gradient(x)
         if checked and not np.isfinite(g).all():
             raise TrajectoryError("non-finite gradient in leapfrog", step)
         p = p_half + 0.5 * delta * g

@@ -22,15 +22,7 @@ class NoExactSamplerError(HugHopError, NotImplementedError):
 
 
 class FactorizationError(HugHopError, ValueError):
-    """A matrix factorisation failed (non-PD input, singular system, ...).
-
-    Carries the offending quantity (failing pivot or smallest eigenvalue)
-    in ``detail`` when available.
-    """
-
-    def __init__(self, message: str, detail: float | None = None):
-        super().__init__(message)
-        self.detail = detail
+    """A matrix factorisation failed (non-PD input, singular system, ...)."""
 
 
 class TrajectoryError(HugHopError, ArithmeticError):

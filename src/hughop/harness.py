@@ -61,40 +61,69 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _hug_from_spec(spec: dict) -> HugKernel:
+def _number(value, field: str) -> float:
+    """A config number as a float; anything else raises naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(field, f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, field: str) -> int:
+    """A config integer as an int; a non-integral number is an error, not truncated."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(field, f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _flag(value, field: str) -> bool:
+    """A config boolean; a string such as ``"false"`` is an error, not true."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(field, f"must be true or false, got {value!r}")
+    return bool(value)
+
+
+def _hug_from_spec(spec: dict, where: str) -> HugKernel:
     kwargs = dict(
-        total_time=float(spec.pop("T", 1.0)),
-        n_bounces=int(spec.pop("B", 10)),
+        total_time=_number(spec.pop("T", 1.0), f"{where}.T"),
+        n_bounces=_integer(spec.pop("B", 10), f"{where}.B"),
         mode=str(spec.pop("mode", "plain")),
-        eps=float(spec.pop("eps", 1e-6)),
+        eps=_number(spec.pop("eps", 1e-6), f"{where}.eps"),
         velocity=str(spec.pop("velocity", "local")),
     )
     if "precond_cov" in spec:
         kwargs["precond_cov"] = np.asarray(spec.pop("precond_cov"), dtype=float)
     if "zero_grad_tol" in spec:
-        kwargs["zero_grad_tol"] = float(spec.pop("zero_grad_tol"))
+        kwargs["zero_grad_tol"] = _number(spec.pop("zero_grad_tol"), f"{where}.zero_grad_tol")
     return HugKernel(HugParams(**kwargs))
 
 
-def _hop_from_spec(spec: dict, dim: int | None) -> HopKernel:
+def _hop_from_spec(spec: dict, dim: int | None, where: str) -> HopKernel:
     lam = spec.pop("lambda", spec.pop("lam", None))
     if lam is None:
         lam = default_lam(dim) if dim else 1.0
     kwargs = dict(
-        lam=float(lam),
-        use_hessian=bool(spec.pop("hessian", spec.pop("use_hessian", False))),
-        eps=float(spec.pop("eps", 1e-6)),
+        lam=_number(lam, f"{where}.lambda"),
+        use_hessian=_flag(spec.pop("hessian", spec.pop("use_hessian", False)), f"{where}.hessian"),
+        eps=_number(spec.pop("eps", 1e-6), f"{where}.eps"),
         guard=str(spec.pop("guard", "plus1")),
     )
     if "mu" in spec:
-        kwargs["mu"] = float(spec.pop("mu"))
+        kwargs["mu"] = _number(spec.pop("mu"), f"{where}.mu")
     else:
-        kwargs["kappa"] = float(spec.pop("kappa", 0.5))
+        kwargs["kappa"] = _number(spec.pop("kappa", 0.5), f"{where}.kappa")
     return HopKernel(HopParams(**kwargs))
 
 
 def make_kernel(spec: dict, dim: int | None = None, where: str = "kernel"):
-    """Build a kernel from a config mapping like ``{"kernel": "hug", ...}``."""
+    """Build a kernel from a config mapping like ``{"kernel": "hug", ...}``.
+
+    A malformed or out-of-range value raises :class:`ConfigError` naming
+    ``where``, or the entry below it.
+    """
+    if not isinstance(spec, dict):
+        raise ConfigError(where, f"must be a mapping, got {spec!r}")
     spec = dict(spec)
     try:
         name = str(spec.pop("kernel")).lower()
@@ -102,14 +131,15 @@ def make_kernel(spec: dict, dim: int | None = None, where: str = "kernel"):
         raise ConfigError(where, "missing 'kernel' name entry")
     try:
         if name == "hug":
-            built = _hug_from_spec(spec)
+            built = _hug_from_spec(spec, where)
         elif name == "hop":
-            built = _hop_from_spec(spec, dim)
+            built = _hop_from_spec(spec, dim, where)
         elif name == "hmc":
+            step_size = spec.pop("step_size", spec.pop("delta", 0.1))
             built = HmcKernel(
                 HmcParams(
-                    n_steps=int(spec.pop("L", 10)),
-                    step_size=float(spec.pop("step_size", spec.pop("delta", 0.1))),
+                    n_steps=_integer(spec.pop("L", 10), f"{where}.L"),
+                    step_size=_number(step_size, f"{where}.step_size"),
                     mass_matrix=spec.pop("mass_matrix", None),
                 )
             )
@@ -120,17 +150,20 @@ def make_kernel(spec: dict, dim: int | None = None, where: str = "kernel"):
             cov = spec.pop("cov", None)
             built = RwmKernel(
                 RwmParams(
-                    step_scale=float(spec.pop("step_scale", 1.0)),
+                    step_scale=_number(spec.pop("step_scale", 1.0), f"{where}.step_scale"),
                     local_cov=str(spec.pop("local_cov", "none")),
                     cov=None if cov is None else np.asarray(cov, dtype=float),
-                    eps=float(spec.pop("eps", 1e-6)),
+                    eps=_number(spec.pop("eps", 1e-6), f"{where}.eps"),
                 )
             )
         elif name == "mala":
-            built = MalaKernel(MalaParams(step_scale=float(spec.pop("step_scale", 0.5))))
+            step_scale = _number(spec.pop("step_scale", 0.5), f"{where}.step_scale")
+            built = MalaKernel(MalaParams(step_scale=step_scale))
         else:
             built = None
-    except ValueError as exc:
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
         raise ConfigError(where, str(exc))
     if built is None:
         raise ConfigError(where, f"unknown kernel {name!r}")
@@ -172,17 +205,28 @@ class ExperimentConfig:
             raise ConfigError("target", "must be a mapping")
         if not isinstance(self.kernels, (list, tuple)) or not self.kernels:
             raise ConfigError("kernels", "must be a nonempty list of kernel specs")
-        if int(self.iterations) < 1:
+        self.iterations = _integer(self.iterations, "iterations")
+        if self.iterations < 1:
             raise ConfigError("iterations", "must be a positive integer")
-        if int(self.burn_in) < 0:
+        self.burn_in = _integer(self.burn_in, "burn_in")
+        if self.burn_in < 0:
             raise ConfigError("burn_in", "must be nonnegative")
-        if int(self.thin) < 1:
+        if self.burn_in >= self.iterations:
+            raise ConfigError("burn_in", "must be less than iterations, or no sweep is recorded")
+        self.thin = _integer(self.thin, "thin")
+        if self.thin < 1:
             raise ConfigError("thin", "must be a positive integer")
+        if not isinstance(self.seed, np.random.SeedSequence):
+            self.seed = _integer(self.seed, "seed")
+            if self.seed < 0:
+                raise ConfigError("seed", "must be nonnegative")
         if self.record not in ("full", "logpi"):
             raise ConfigError("record", "must be 'full' or 'logpi'")
-        if int(self.pilot_iterations) < 1:
+        self.pilot_iterations = _integer(self.pilot_iterations, "pilot_iterations")
+        if self.pilot_iterations < 1:
             raise ConfigError("pilot_iterations", "must be positive")
-        if not 0.0 <= float(self.pilot_burn_fraction) < 1.0:
+        self.pilot_burn_fraction = _number(self.pilot_burn_fraction, "pilot_burn_fraction")
+        if not 0.0 <= self.pilot_burn_fraction < 1.0:
             raise ConfigError("pilot_burn_fraction", "must lie in [0, 1)")
 
     @classmethod
@@ -393,15 +437,14 @@ class TuneResult:
     best: dict
     best_score: float
     table: list[dict] = dataclass_field(default_factory=list)
-    objective: str = "ess_per_second"
 
 
 def grid_cells(grid: dict) -> list[dict]:
     """Every combination of a grid mapping names to value lists, in order."""
-    if not grid:
-        raise ConfigError("grid", "must name at least one parameter")
-    if any(len(values) == 0 for values in grid.values()):
-        raise ConfigError("grid", "grid value lists must be nonempty")
+    if not isinstance(grid, dict) or not grid:
+        raise ConfigError("grid", "must map at least one parameter to a value list")
+    if any(not isinstance(values, (list, tuple)) or not values for values in grid.values()):
+        raise ConfigError("grid", "each entry must be a nonempty list of values")
     return [dict(zip(grid, combo)) for combo in product(*grid.values())]
 
 
@@ -461,8 +504,7 @@ def tune_cells(cells: list[dict], run_pilot, seed, objective) -> TuneResult:
             f"{cell}: {row.get('note', 'NaN score')}" for cell, row in zip(cells, table)
         )
         raise ConfigError("grid", f"all grid cells degenerate: {failures}")
-    name = objective.__name__ if callable(objective) else objective
-    return TuneResult(best=best, best_score=best_score, table=table, objective=name)
+    return TuneResult(best=best, best_score=best_score, table=table)
 
 
 def _pilot_config(config: ExperimentConfig, cell: dict) -> ExperimentConfig:
@@ -694,8 +736,8 @@ def theorem2_experiment(
         g_y = -precisions * y
         log_r[i] = (
             -0.5 * np.sum((y * y - x * x) * precisions)
-            + hop_log_density(y, x, g_y, params).log_density
-            - hop_log_density(x, y, g_x, params).log_density
+            + hop_log_density(y, x, g_y, params)
+            - hop_log_density(x, y, g_x, params)
         )
     alphas = np.exp(np.minimum(0.0, log_r))
     limit = 2.0 * ndtr(-kappa / 2.0)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .targets import TargetModel
 
 __all__ = [
     "HopParams",
-    "HopProposalDensity",
     "hop_propose",
     "hop_log_density",
     "hop_kernel_step",
@@ -73,16 +72,6 @@ class HopParams:
             raise ValueError("mu must be strictly positive")
         if self.guard not in GUARDS:
             raise ValueError(f"guard must be one of {GUARDS}")
-
-
-@dataclass
-class HopProposalDensity:
-    """Proposal log-density plus the pieces used by diagnostics."""
-
-    log_density: float
-    grad_norm_sq: float
-    displacement_dot_grad: float
-    guard_scale_sq: float
 
 
 def default_lam(dim: int) -> float:
@@ -132,7 +121,7 @@ def _whitened_jump(g_t: np.ndarray, params: HopParams, rng: np.random.Generator)
 
 def _whitened_log_density(
     w_t: np.ndarray, g_t: np.ndarray, params: HopParams
-) -> HopProposalDensity:
+) -> float:
     """Gaussian log-density of a (whitened) displacement w_t.
 
     Uses B^-1 = I/mu^2 + (1/lam^2 - 1/mu^2) ghat ghat' and
@@ -143,7 +132,6 @@ def _whitened_log_density(
     s_sq = _guard_scale_sq(gn2, params.guard)
     wn2 = float(w_t @ w_t)
     if gn2 <= ZERO_GRAD_TOL**2:
-        dot = 0.0
         quad = wn2 / params.mu**2 / s_sq
         log_det = d * np.log(s_sq) + 2.0 * d * _log(params.mu)
     else:
@@ -155,13 +143,7 @@ def _whitened_log_density(
             + 2.0 * _log(params.lam)
             + 2.0 * (d - 1) * _log(params.mu)
         )
-    logq = -0.5 * quad - 0.5 * log_det - 0.5 * d * _log(2.0 * np.pi)
-    return HopProposalDensity(
-        log_density=float(logq),
-        grad_norm_sq=gn2,
-        displacement_dot_grad=dot,
-        guard_scale_sq=s_sq,
-    )
+    return float(-0.5 * quad - 0.5 * log_det - 0.5 * d * _log(2.0 * np.pi))
 
 
 def hop_propose(
@@ -192,7 +174,7 @@ def hop_log_density(
     g_at_x: np.ndarray,
     params: HopParams,
     metric: LocalMetric | None = None,
-) -> HopProposalDensity:
+) -> float:
     """Exact log-density of proposing ``y`` from ``x``.
 
     With ``metric`` given (the local covariance at ``x``) the density is the
@@ -213,15 +195,13 @@ def _hop_log_density(
     g: np.ndarray,
     params: HopParams,
     metric: LocalMetric | None,
-) -> HopProposalDensity:
+) -> float:
     """:func:`hop_log_density` for finite float arrays, unchecked."""
     if metric is None:
         return _whitened_log_density(y - x, g, params)
     g_t = metric.factor_dot(g)
     w_t = metric.whiten(y - x)
-    density = _whitened_log_density(w_t, g_t, params)
-    density.log_density -= 0.5 * metric.log_det
-    return density
+    return _whitened_log_density(w_t, g_t, params) - 0.5 * metric.log_det
 
 
 def hop_kernel_step(
@@ -266,7 +246,7 @@ def hop_kernel_step(
                     )
                     fwd = _hop_log_density(x, y, g_x, params, metric_x)
                     rev = _hop_log_density(y, x, y_grad, params, metric_y)
-                    raw = (y_logp - state.logp) + rev.log_density - fwd.log_density
+                    raw = (y_logp - state.logp) + rev - fwd
                     log_alpha = min(0.0, raw) if np.isfinite(raw) else -np.inf
         except (FactorizationError, ZeroGradientError, NonFiniteInputError) as exc:
             logger.warning("hop: proposal rejected (%s)", exc)

@@ -63,10 +63,9 @@ class HugParams:
         zero_grad_tol: gradient norms at or below this leave the velocity
             unreflected, keeping the bounce map an involution where the
             reflection direction is undefined.
-        record_bounces: store every bounce point in the outcome.
         precond_factor: the factor of ``precond_cov`` (see
-            :func:`~hughop.metric.factor`), computed once at construction;
-            not an argument.
+            :func:`~hughop.metric.checked_factor`), computed once at
+            construction; not an argument.
     """
 
     total_time: float
@@ -76,7 +75,6 @@ class HugParams:
     eps: float = 1e-6
     velocity: str = "local"
     zero_grad_tol: float = 1e-12
-    record_bounces: bool = False
     precond_factor: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -104,9 +102,8 @@ class HugParams:
 
 @dataclass
 class HugOutcome(StepOutcome):
-    """Hug step result; optionally carries the bounce points."""
+    """Hug step result, with the number of bounces that met a zero gradient."""
 
-    bounces: list | None = None
     zero_grad_bounces: int = 0
 
 
@@ -116,7 +113,6 @@ class HugTrajectory:
 
     x: np.ndarray
     v: np.ndarray
-    bounces: list | None = None
     zero_grad_bounces: int = 0
 
 
@@ -190,47 +186,39 @@ def _bounce_loop(
 ) -> HugTrajectory:
     """The bounce loop of :func:`hug_trajectory`.
 
-    ``checked`` calls the target's public methods and the public
-    reflections, and raises at the first non-finite bounce point, gradient
-    or velocity.  Unchecked, the loop calls the trusted methods and the
-    inner reflections, and tests only what a non-finite value could hide:
-    a gradient whose norm is not finite is tested entry by entry, because
-    the metric reflection treats a non-finite quadratic form as "no
-    reflection" and would carry a NaN gradient on as a finite velocity.
+    The loop calls the target's trusted methods and the inner reflections.
+    ``checked`` raises at the first non-finite bounce point, gradient or
+    velocity, so every call sees inputs checked one sub-move earlier.
+    Unchecked, the loop tests only what a non-finite value could hide: a
+    gradient whose norm is not finite is tested entry by entry, because the
+    metric reflection treats a non-finite quadratic form as "no reflection"
+    and would carry a NaN gradient on as a finite velocity.
     """
     half = 0.5 * params.step
     tol = params.zero_grad_tol
-    gradient = target.gradient if checked else target._gradient
-    hessian = target.hessian if checked else target._hessian
-    bounces = [] if params.record_bounces else None
     zero_grad = 0
     for b in range(params.n_bounces):
         x_mid = x + half * v
         if checked and not np.isfinite(x_mid).all():
             raise TrajectoryError("non-finite bounce point", b)
-        g = gradient(x_mid)
+        g = target._gradient(x_mid)
         norm_g = math.sqrt(g @ g)
         if (checked or not math.isfinite(norm_g)) and not np.isfinite(g).all():
             raise TrajectoryError("non-finite gradient at bounce point", b)
         if norm_g <= tol:
             zero_grad += 1
         if params.mode == "plain":
-            v = reflect(v, g, tol) if checked else _reflect(v, g, norm_g, tol)
+            v = _reflect(v, g, norm_g, tol)
         else:
             if params.mode == "precond":
                 sigma = params.precond_cov
             else:
-                sigma = local_covariance(hessian(x_mid), params.eps)
-            if checked:
-                v = reflect_in_metric(v, g, sigma, tol)
-            else:
-                v = _reflect_in_metric(v, g, sigma, tol)
+                sigma = local_covariance(target._hessian(x_mid), params.eps)
+            v = _reflect_in_metric(v, g, sigma, tol)
         if checked and not np.isfinite(v).all():
             raise TrajectoryError("non-finite velocity after bounce", b)
         x = x_mid + half * v
-        if bounces is not None:
-            bounces.append(x_mid)
-    return HugTrajectory(x=x, v=v, bounces=bounces, zero_grad_bounces=zero_grad)
+    return HugTrajectory(x=x, v=v, zero_grad_bounces=zero_grad)
 
 
 def hug_trajectory(
@@ -258,7 +246,7 @@ def hug_trajectory(
     x = np.asarray(x0, dtype=float).copy()
     v = np.asarray(v0, dtype=float).copy()
     if params.total_time == 0.0:
-        return HugTrajectory(x=x, v=v, bounces=[] if params.record_bounces else None)
+        return HugTrajectory(x=x, v=v)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
@@ -359,7 +347,6 @@ def hug_kernel_step(
         proposal=traj.x if traj is not None else x0.copy(),
         log_alpha=log_alpha,
         accepted=accepted,
-        bounces=traj.bounces if traj is not None else None,
         zero_grad_bounces=traj.zero_grad_bounces if traj is not None else 0,
     )
     return new_state, outcome

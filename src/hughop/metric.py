@@ -27,7 +27,7 @@ import numpy as np
 
 from .exceptions import FactorizationError, NonFiniteInputError
 
-__all__ = ["LocalMetric", "local_covariance", "factor", "checked_factor"]
+__all__ = ["LocalMetric", "local_covariance", "checked_factor"]
 
 # eigenvalue magnitudes below this are clamped before inversion so that
 # inflection points do not overflow
@@ -43,7 +43,6 @@ class LocalMetric:
         eigvecs: d x d orthonormal V, column i belonging to ``eigvals[i]``;
             ``None`` when V is the identity (a diagonal Hessian), in which
             case every product below is elementwise.
-        eps: regularisation floor used to build Sigma.
         regularized: True when the spectral-regularisation branch was taken.
         log_det_order: for a diagonal Hessian, the Hessian diagonal, whose
             ascending order the log-determinant is summed in (the order
@@ -57,13 +56,8 @@ class LocalMetric:
 
     eigvals: np.ndarray
     eigvecs: np.ndarray | None
-    eps: float
     regularized: bool = False
     log_det_order: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def dim(self) -> int:
-        return self.eigvals.size
 
     @cached_property
     def log_det(self) -> float:
@@ -126,47 +120,30 @@ class LocalMetric:
         return self._root * (self.eigvecs.T @ g)
 
 
-def factor(sigma: np.ndarray, method: str = "cholesky") -> np.ndarray:
-    """A matrix square root A of ``sigma`` with A.T @ A == sigma.
-
-    ``method="cholesky"`` returns the transpose of the lower Cholesky factor
-    (so A is upper triangular); ``method="spectral"`` returns the symmetric
-    eigenvalue square root.  Either choice is valid anywhere a factor is
-    needed: the algebra downstream only uses A.T @ A.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    if method == "cholesky":
-        try:
-            return np.linalg.cholesky(sigma).T
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError(f"covariance is not positive definite: {exc}") from exc
-    if method == "spectral":
-        eigvals, eigvecs = np.linalg.eigh(sigma)
-        if eigvals[0] <= 0:
-            raise FactorizationError(
-                "covariance is not positive definite", detail=float(eigvals[0])
-            )
-        return (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
-    raise ValueError(f"unknown factor method {method!r}")
-
-
 def checked_factor(cov, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Validate a fixed covariance and return it as a float array with its factor.
+
+    The factor A is the transpose of the lower Cholesky factor, so it is
+    upper triangular and A.T @ A == cov.
 
     Raises:
         ValueError: if ``cov`` is not a square matrix or not symmetric to
             1e-10; the message names the parameter ``name``.
+        NonFiniteInputError: if ``cov`` has a non-finite entry, which a
+            Cholesky factorisation would carry into the factor.
         FactorizationError: if ``cov`` is not positive definite; the
             message names the parameter ``name``.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {cov.shape}")
+    if not np.isfinite(cov).all():
+        raise NonFiniteInputError(f"{name} contains non-finite entries")
     if np.max(np.abs(cov - cov.T)) > 1e-10:
         raise ValueError(f"{name} must be symmetric")
     try:
-        return cov, factor(cov)
-    except FactorizationError as exc:
+        return cov, np.linalg.cholesky(cov).T
+    except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"{name} is not positive definite") from exc
 
 
@@ -233,7 +210,6 @@ def local_covariance(hess: np.ndarray, eps: float = 1e-6) -> LocalMetric:
     return LocalMetric(
         eigvals=sigma_eigs,
         eigvecs=eigvecs,
-        eps=eps,
         regularized=regularized,
         # a copy, so that the caller may reuse its array
         log_det_order=diag.copy() if diagonal else None,

@@ -209,13 +209,11 @@ def run_gibbs(
     rng: np.random.Generator,
     burn_in: int = 0,
     rwm_scale: float = 0.3,
-    adapt_rwm: bool = True,
-    target_rwm_acceptance: float = 0.4,
 ) -> dict:
     """Run the Metropolis-within-Gibbs chain and collect traces.
 
     During burn-in the theta random-walk scale adapts on a decaying schedule
-    towards the target acceptance rate, then freezes.  Returns the recorded
+    towards an acceptance rate of 0.4, then freezes.  Returns the recorded
     field and parameter traces plus per-block acceptance rates and the joint
     log-density series.
     """
@@ -231,12 +229,10 @@ def run_gibbs(
     row = 0
     for sweep in range(sweeps):
         state, info = sampler.step(state, rng)
-        if adapt_rwm and sweep < burn_in and sampler.rwm_scale > 0:
+        if sweep < burn_in and sampler.rwm_scale > 0:
             # Robbins-Monro on the log scale towards the target rate
             step = 0.5 / (1.0 + sweep) ** 0.6
-            sampler.rwm_scale *= float(
-                np.exp(step * (float(info["theta_rwm"]) - target_rwm_acceptance))
-            )
+            sampler.rwm_scale *= float(np.exp(step * (float(info["theta_rwm"]) - 0.4)))
         if sweep >= burn_in:
             fields[row] = state.field_state.position
             thetas[row] = state.theta

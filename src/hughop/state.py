@@ -41,10 +41,6 @@ class ChainState:
             self.grad = target._gradient(self.position)
         return self.grad
 
-    @property
-    def dim(self) -> int:
-        return self.position.size
-
 
 @dataclass
 class StepOutcome:

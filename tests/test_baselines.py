@@ -14,7 +14,6 @@ from hughop.baselines import (
 )
 from hughop.exceptions import TrajectoryError
 from hughop.hug import HugParams, hug_kernel_step
-from hughop.metric import factor
 from hughop.state import ChainState
 from hughop.targets import GaussianDiag, QuarticGaussian
 
@@ -76,6 +75,14 @@ class TestLeapfrog:
         with pytest.raises(TrajectoryError) as info:
             leapfrog(target, np.array([3.0, 3.0]), np.array([1.0, 1.0]), params)
         assert info.value.step_index == first_bad
+
+    @pytest.mark.parametrize("mass", [None, np.array([2.0, 0.5, 1.0])], ids=["identity", "diag"])
+    def test_infinite_momentum_fails_at_the_first_position(self, mass):
+        # the checked replay calls the trusted gradient only at a position
+        # that has passed its finiteness check
+        params = HmcParams(n_steps=5, step_size=0.1, mass_matrix=mass)
+        with pytest.raises(TrajectoryError, match=r"non-finite position in leapfrog \(step 0\)"):
+            leapfrog(GaussianDiag(1.0, dim=3), np.zeros(3), np.array([np.inf, 0.0, 0.0]), params)
 
     def test_mass_matrix_diag_equals_full(self, rng):
         target = GaussianDiag(scales=[1.0, 3.0])
@@ -190,7 +197,7 @@ class TestRwmStep:
     def test_fixed_cov_factor_computed_once(self):
         cov = np.array([[2.0, 0.3], [0.3, 0.5]])
         params = RwmParams(step_scale=1.0, local_cov="fixed", cov=cov)
-        np.testing.assert_array_equal(params.cov_factor, factor(cov))
+        np.testing.assert_array_equal(params.cov_factor, np.linalg.cholesky(cov).T)
 
 
 class TestMalaStep:

@@ -71,6 +71,34 @@ class TestRun:
         assert record["error"] == "ConfigError"
         assert "iterations" in record["message"]
 
+    @pytest.mark.parametrize(
+        "command, override, field",
+        [
+            ("run", {"iterations": None}, "iterations"),
+            ("run", {"iterations": [1]}, "iterations"),
+            ("run", {"iterations": "abc"}, "iterations"),
+            ("run", {"iterations": 2.5}, "iterations"),
+            ("run", {"iterations": 5, "burn_in": 10}, "burn_in"),
+            ("run", {"seed": None}, "seed"),
+            ("run", {"kernels": ["hug"]}, "kernels[0]"),
+            ("run", {"kernels": [{"kernel": "hug", "T": None}]}, "kernels[0].T"),
+            ("run", {"kernels": [{"kernel": "hug", "B": 2.5}]}, "kernels[0].B"),
+            ("run", {"kernels": [{"kernel": "hop", "hessian": "false"}]}, "kernels[0].hessian"),
+            ("run", {"kernels": [{"kernel": "hmc", "mass_matrix": [1, None, 1]}]}, "kernels[0]"),
+            ("tune", {"grid": [1]}, "grid"),
+            ("tune", {"grid": {"kernels.0.T": None}}, "grid"),
+        ],
+    )
+    def test_malformed_value_is_config_error_naming_its_field(
+        self, config_file, capsys, command, override, field
+    ):
+        config_file.write_text(json.dumps({**json.loads(config_file.read_text()), **override}))
+        code = main([command, "--config", str(config_file)])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(f"{field}: ")
+
     def test_missing_config_file(self, capsys):
         code = main(["run", "--config", "/nonexistent/x.json"])
         assert code != 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hughop.exceptions import FactorizationError, NonFiniteInputError
-from hughop.metric import EIG_FLOOR, LocalMetric, factor, local_covariance
+from hughop.metric import EIG_FLOOR, LocalMetric, checked_factor, local_covariance
 
 
 def random_spd(rng, d, spread=2.0):
@@ -144,7 +144,7 @@ class TestLocalCovariance:
         assert m.eigvecs is None and dense.eigvecs is None
         np.testing.assert_array_equal(m.eigvals, dense.eigvals)
         assert m.regularized == dense.regularized
-        eye = LocalMetric(eigvals=m.eigvals, eigvecs=np.eye(len(diag)), eps=eps,
+        eye = LocalMetric(eigvals=m.eigvals, eigvecs=np.eye(len(diag)),
                           log_det_order=np.array(diag))
         assert m.log_det == dense.log_det == eye.log_det
         v = rng.standard_normal(len(diag))
@@ -185,33 +185,22 @@ class TestLocalCovariance:
 
 class TestFactor:
     def test_identity(self):
-        np.testing.assert_allclose(factor(np.eye(4)), np.eye(4))
+        np.testing.assert_allclose(checked_factor(np.eye(4), "cov")[1], np.eye(4))
 
     def test_diagonal_triangular_root(self):
-        np.testing.assert_allclose(factor(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+        _, a = checked_factor(np.diag([4.0, 9.0]), "cov")
+        np.testing.assert_allclose(a, np.diag([2.0, 3.0]))
 
-    @pytest.mark.parametrize("method", ["cholesky", "spectral"])
-    def test_factor_property_random_spd(self, method, rng):
+    def test_factor_property_random_spd(self, rng):
         for _ in range(10):
             sigma = random_spd(rng, 5)
-            a = factor(sigma, method=method)
+            _, a = checked_factor(sigma, "cov")
             err = np.linalg.norm(a.T @ a - sigma) / np.linalg.norm(sigma)
             assert err < 1e-12
 
-    def test_spectral_root_is_symmetric(self, rng):
-        sigma = random_spd(rng, 4)
-        a = factor(sigma, method="spectral")
-        np.testing.assert_allclose(a, a.T, atol=1e-10)
-
     def test_non_pd_rejected(self):
         with pytest.raises(FactorizationError):
-            factor(np.diag([1.0, -1.0]))
-        with pytest.raises(FactorizationError):
-            factor(np.diag([1.0, -1.0]), method="spectral")
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            factor(np.eye(2), method="qr")
+            checked_factor(np.diag([1.0, -1.0]), "cov")
 
 
 class TestLocalMetricOps:
