@@ -7,7 +7,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
 
 from .exceptions import FactorizationError, HugHopError, NonFiniteInputError, TrajectoryError
 from .metric import checked_factor, local_covariance

@@ -72,8 +72,18 @@ def _csv_ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
 
 
-def _target_from_arg(text: str):
-    return make_target(json.loads(text))
+def _target_spec(text: str) -> dict:
+    spec = json.loads(text)
+    if not isinstance(spec, dict):
+        raise ConfigError("--target", "must be a JSON object")
+    return spec
+
+
+def _build_target(spec: dict):
+    try:
+        return make_target(spec)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError("--target", str(exc))
 
 
 def _out_dir(args) -> Path:
@@ -103,7 +113,7 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_hug_efficiency(args) -> int:
-    target = _target_from_arg(args.target)
+    target = _build_target(_target_spec(args.target))
     rows = hug_efficiency_experiment(
         target,
         n_bounces_grid=_csv_ints(args.bs),
@@ -118,7 +128,7 @@ def _cmd_hug_efficiency(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    target = _target_from_arg(args.target)
+    target = _build_target(_target_spec(args.target))
     result = stability_experiment(target, step=args.step, steps=args.steps, seed=args.seed or 0)
     out = _out_dir(args) / "stability.csv"
     rows = [{"bounce": i + 1, "delta": float(d)} for i, d in enumerate(result["delta"])]
@@ -139,10 +149,13 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_hop_scaling(args) -> int:
-    template = json.loads(args.target)
+    template = _target_spec(args.target)
+    dims = _csv_ints(args.dims)
+    for dim in dims:
+        _build_target({**template, "dim": dim})
     rows = hop_scaling_experiment(
         template,
-        dims=_csv_ints(args.dims),
+        dims=dims,
         lam_grid=_csv_floats(args.lams),
         kappa_grid=_csv_floats(args.kappas),
         iterations=args.iters,

@@ -11,15 +11,44 @@ autocorrelation time (an antithetic series) clamps to n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import next_fast_len
+# numpy loads its fft module on first use; importing it here keeps that load
+# out of a process's first ess call
+from numpy.fft import irfft, rfft
 
 from .exceptions import DegenerateSeriesError
 
 __all__ = ["ess", "ess_batch_means", "Trace", "RunSummary", "summarize_run"]
 
 MIN_SERIES_LENGTH = 100
+
+
+@lru_cache(maxsize=128)
+def _fft_length(n: int) -> int:
+    """The smallest 11-smooth integer >= n, as ``scipy.fft.next_fast_len(n)``.
+
+    Every such integer is an odd 11-smooth part times a power of two, and only
+    odd parts below the best length found so far can improve on it.  A run's
+    series share one length, so the search is cached.
+    """
+    best = 1 << (n - 1).bit_length()
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p3 = p5
+                while p3 < best:
+                    # p3 times the least power of two that reaches n
+                    best = min(best, p3 << (-(-n // p3) - 1).bit_length())
+                    p3 *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
 
 
 def _check_series(series) -> np.ndarray:
@@ -39,9 +68,9 @@ def _autocorrelations(x: np.ndarray) -> np.ndarray:
     """Empirical autocorrelations rho_0..rho_{n-1} via FFT."""
     n = x.size
     centred = x - x.mean()
-    m = next_fast_len(2 * n)
-    f = np.fft.rfft(centred, m)
-    acov = np.fft.irfft(f * np.conj(f), m)[:n]
+    m = _fft_length(2 * n)
+    f = rfft(centred, m)
+    acov = irfft(f * np.conj(f), m)[:n]
     return acov / acov[0]
 
 

@@ -21,7 +21,6 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import __version__
 from .baselines import HmcKernel, HmcParams, MalaKernel, MalaParams, RwmKernel, RwmParams
@@ -228,6 +227,10 @@ class ExperimentConfig:
         self.pilot_burn_fraction = _number(self.pilot_burn_fraction, "pilot_burn_fraction")
         if not 0.0 <= self.pilot_burn_fraction < 1.0:
             raise ConfigError("pilot_burn_fraction", "must lie in [0, 1)")
+        if self.objective not in OBJECTIVES:
+            raise ConfigError("objective", f"unknown objective {self.objective!r}")
+        if self.grid is not None:
+            grid_cells(self.grid)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -713,6 +716,9 @@ def theorem2_experiment(
     :func:`~hughop.hop.hop_log_density`.  The estimate so targets the exact
     expectation under the stationary law rather than a chain average.
     """
+    # imported here so that the sampler path loads no scipy module
+    from scipy.special import ndtr
+
     rng = np.random.default_rng(seed)
     if callable(precision_law):
         precisions = np.asarray(precision_law(rng, dim), dtype=float)

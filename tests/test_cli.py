@@ -87,6 +87,10 @@ class TestRun:
             ("run", {"kernels": [{"kernel": "hmc", "mass_matrix": [1, None, 1]}]}, "kernels[0]"),
             ("tune", {"grid": [1]}, "grid"),
             ("tune", {"grid": {"kernels.0.T": None}}, "grid"),
+            ("run", {"objective": 3}, "objective"),
+            ("run", {"objective": "ess_per_fortnight"}, "objective"),
+            ("run", {"grid": [1]}, "grid"),
+            ("run", {"grid": {"kernels.0.T": []}}, "grid"),
         ],
     )
     def test_malformed_value_is_config_error_naming_its_field(
@@ -197,6 +201,20 @@ class TestExperiments:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["cells"] == 2
         assert (tmp_path / "hop_scaling.csv").exists()
+
+    @pytest.mark.parametrize("command", ["hug-efficiency", "stability", "hop-scaling"])
+    @pytest.mark.parametrize("target", ["[1]", '"lg"', '{"target":"nope"}', '{"scales":"U"}'])
+    def test_malformed_target_is_config_error(self, tmp_path, capsys, command, target):
+        extra = {
+            "hug-efficiency": ["--bs", "1", "--ts", "1.0", "--reps", "2"],
+            "stability": ["--step", "0.1", "--steps", "10"],
+            "hop-scaling": ["--dims", "3", "--lams", "1", "--kappas", "0.5", "--iters", "200"],
+        }[command]
+        code = main([command, "--target", target, *extra, "--out", str(tmp_path)])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith("--target: ")
 
     def test_models_subcommand_smoke(self, tmp_path, capsys):
         code = main(

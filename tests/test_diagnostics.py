@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hughop.diagnostics import Trace, ess, ess_batch_means, summarize_run
+from hughop.diagnostics import Trace, _fft_length, ess, ess_batch_means, summarize_run
 from hughop.exceptions import DegenerateSeriesError
 
 
@@ -63,6 +63,13 @@ class TestEss:
         a = ess(x)
         b = ess_batch_means(x)
         assert abs(a - b) / a < 0.15
+
+
+def test_fft_length_matches_scipy_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    lengths = [*range(1, 65_537), 80_000, 100_000]
+    assert [_fft_length(n) for n in lengths] == [next_fast_len(n) for n in lengths]
 
 
 class TestSummarizeRun:

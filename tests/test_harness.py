@@ -424,6 +424,30 @@ class TestTheorem2:
         )
         assert result["limit"] == pytest.approx(2.0 * ndtr(-1.0))
 
+    @pytest.mark.parametrize(
+        "kappa, mean_acceptance, limit",
+        [
+            (0.5, "0x1.63438970abd1dp-1", "0x1.9aecba9d22528p-1"),
+            (1.0, "0x1.222ec3f8a7563p-1", "0x1.3bf143b9aa712p-1"),
+            (2.0, "0x1.3fd3fcbe99248p-2", "0x1.44ed0bb7cb20cp-2"),
+        ],
+    )
+    def test_floats_are_pinned(self, kappa, mean_acceptance, limit):
+        # criterion 5's kappas and seed on a short run; the limit is
+        # 2 Phi(-kappa/2) to the bit, the mean acceptance to rounding
+        from scipy.special import ndtr
+
+        result = theorem2_experiment(
+            {"dist": "uniform", "low": 0.5, "high": 5.0},
+            dim=20,
+            lam=2.0,
+            kappa=kappa,
+            iterations=2_000,
+            seed=2105,
+        )
+        assert result["limit"] == 2.0 * ndtr(-kappa / 2.0) == float.fromhex(limit)
+        assert result["mean_acceptance"] == pytest.approx(float.fromhex(mean_acceptance), rel=1e-12)
+
     def test_rejects_bad_precision_law(self):
         with pytest.raises(ConfigError):
             theorem2_experiment({"dist": "gamma"}, 10, 1.0, 1.0, 100)
