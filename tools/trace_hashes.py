@@ -3,7 +3,8 @@
 A refactor that leaves the arithmetic unchanged must leave every trace
 byte-identical for the same config and seed.  This script runs a fixed set
 of short chains, hashes the recorded log-density, positions and accept
-flags of each, and writes or checks a JSON manifest of the hashes together
+flags of each, hashes the reports and dataset files of three small model
+comparisons with their timing fields dropped, and writes or checks a JSON manifest of the hashes together
 with the environment they were computed in (Python, numpy, scipy, BLAS).
 Hashes are only comparable within one environment; ``--check`` reports a
 differing environment next to any mismatch.
@@ -26,6 +27,7 @@ import logging
 import os
 import platform
 import sys
+import tempfile
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -41,7 +43,12 @@ from hughop.baselines import HmcKernel, HmcParams  # noqa: E402
 from hughop.harness import ExperimentConfig, run_chain, run_kernels  # noqa: E402
 from hughop.hop import HopKernel, HopParams  # noqa: E402
 from hughop.hug import HugKernel, HugParams  # noqa: E402
-from hughop.model_runs import run_gibbs  # noqa: E402
+from hughop.model_runs import (  # noqa: E402
+    run_cauchit_comparison,
+    run_gibbs,
+    run_rasch_comparison,
+    run_spatial_comparison,
+)
 from hughop.models import (  # noqa: E402
     CauchitPosterior,
     RaschPosterior,
@@ -188,10 +195,49 @@ def _model_hashes() -> dict:
     return hashes
 
 
+# name -> a model comparison, small: 250-iteration pilots, 300-iteration
+# finals, and a 4x4 spatial grid
+REPORTS = {
+    "report/cauchit": lambda out: run_cauchit_comparison(
+        seed=1, iterations=300, out_dir=out, n_obs=100, n_pred=5, pilot_iterations=250),
+    "report/rasch": lambda out: run_rasch_comparison(
+        seed=2, iterations=300, out_dir=out, n_questions=5, n_subjects=20, pilot_iterations=250),
+    "report/spatial4x4": lambda out: run_spatial_comparison(
+        seed=3, sweeps=300, out_dir=out, n_rows=4, n_cols=4),
+}
+
+
+def _untimed(value):
+    """``value`` without its wall-clock fields (``wall_time``, ``*_per_sec``)."""
+    if isinstance(value, dict):
+        return {key: _untimed(item) for key, item in value.items()
+                if key != "wall_time" and not key.endswith("_per_sec")}
+    return value
+
+
+def _report_hashes() -> dict:
+    """The model comparisons' returned reports, their report files and their
+    dataset files, with the timing fields dropped from both reports."""
+    hashes = {}
+    for name, run in REPORTS.items():
+        with tempfile.TemporaryDirectory() as out:
+            report = run(out)
+            h = hashlib.sha256(json.dumps(_untimed(report), sort_keys=True, default=str).encode())
+            for path in sorted(Path(out).rglob("*")):
+                if path.is_file():
+                    content = path.read_bytes()
+                    if path.suffix == ".json" and path.parent == Path(out):
+                        content = json.dumps(_untimed(json.loads(content)), sort_keys=True).encode()
+                    h.update(str(path.relative_to(out)).encode() + b"\0" + content)
+        hashes[name] = h.hexdigest()
+    return hashes
+
+
 def compute_hashes() -> dict:
     hashes = {name: _chain_hash(raw, seed) for name, (raw, seed) in CHAINS.items()}
     hashes.update(_gibbs_hashes())
     hashes.update(_model_hashes())
+    hashes.update(_report_hashes())
     return hashes
 
 
