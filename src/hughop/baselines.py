@@ -10,7 +10,7 @@ import numpy as np
 
 from .exceptions import FactorizationError, HugHopError, NonFiniteInputError, TrajectoryError
 from .metric import checked_factor, local_covariance
-from .state import ChainState, Kernel, StepOutcome, metropolis_accept
+from .state import ChainState, Kernel, StepOutcome, finish_step
 from .targets import TargetModel
 
 __all__ = [
@@ -172,10 +172,8 @@ def hmc_step(
     p0 = z if mass is None else params.mass_factor.T @ z
     kinetic0 = 0.5 * float(z @ z)  # p0' M^-1 p0 / 2 computed in whitened form
 
-    log_alpha = -np.inf
     proposal = x.copy()
-    y_logp = None
-    y_grad = None
+    y_logp = y_grad = None
     energy_error = np.nan
     try:
         y, p1, y_grad = leapfrog(target, x, p0, params, state.ensure_grad(target))
@@ -187,23 +185,12 @@ def hmc_step(
                 kinetic1 = 0.5 * float(p1 @ np.linalg.solve(mass, p1))
         energy_error = (y_logp - kinetic1) - (state.logp - kinetic0)
         proposal = y
-        log_alpha = min(0.0, energy_error) if np.isfinite(energy_error) else -np.inf
     except (TrajectoryError, NonFiniteInputError) as exc:
         logger.warning("hmc: trajectory rejected (%s)", exc)
 
-    accepted = metropolis_accept(rng, log_alpha)
-    if accepted and y_logp is not None and np.isfinite(y_logp):
-        new_state = ChainState(position=proposal, logp=float(y_logp), grad=y_grad)
-    else:
-        accepted = False
-        new_state = state
-    outcome = StepOutcome(
-        proposal=proposal,
-        log_alpha=log_alpha,
-        accepted=accepted,
-        extras={"energy_error": energy_error},
+    return finish_step(
+        rng, state, energy_error, proposal, y_logp, y_grad, energy_error=energy_error
     )
-    return new_state, outcome
 
 
 def rwm_step(
@@ -217,9 +204,8 @@ def rwm_step(
     x = state.position
     s = params.step_scale
     z = rng.standard_normal(x.size)
-    log_alpha = -np.inf
     y = x.copy()
-    y_logp = None
+    log_ratio = y_logp = None
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
@@ -239,19 +225,11 @@ def rwm_step(
                 rev = -0.5 * metric_y.quad_inv(x - y) / s**2 - 0.5 * metric_y.log_det
                 correction = rev - fwd
             y_logp = target._log_density(y)
-            if np.isfinite(y_logp):
-                raw = y_logp - state.logp + correction
-                log_alpha = min(0.0, raw) if np.isfinite(raw) else -np.inf
+            log_ratio = y_logp - state.logp + correction
         except (FactorizationError, NonFiniteInputError) as exc:
             logger.warning("rwm: proposal rejected (%s)", exc)
 
-    accepted = metropolis_accept(rng, log_alpha)
-    if accepted and y_logp is not None and np.isfinite(y_logp):
-        new_state = ChainState(position=y, logp=float(y_logp))
-    else:
-        accepted = False
-        new_state = state
-    return new_state, StepOutcome(proposal=y, log_alpha=log_alpha, accepted=accepted)
+    return finish_step(rng, state, log_ratio, y, y_logp)
 
 
 def mala_step(
@@ -265,35 +243,23 @@ def mala_step(
     x = state.position
     g_x = state.ensure_grad(target)
     s = params.step_scale
-    log_alpha = -np.inf
-    y_logp = None
-    y_grad = None
+    log_ratio = y_logp = y_grad = None
 
     with np.errstate(over="ignore", invalid="ignore"):
         mean_fwd = x + 0.5 * s**2 * g_x
         y = mean_fwd + s * rng.standard_normal(x.size)
-        if np.isfinite(y).all():
+        finite = np.isfinite(y).all()
+        if finite:
             y_logp, y_grad = target._value_and_grad(y)
             if np.isfinite(y_logp) and np.isfinite(y_grad).all():
                 mean_rev = y + 0.5 * s**2 * y_grad
                 fwd = -0.5 * float(np.sum((y - mean_fwd) ** 2)) / s**2
                 rev = -0.5 * float(np.sum((x - mean_rev) ** 2)) / s**2
-                raw = y_logp - state.logp + rev - fwd
-                log_alpha = min(0.0, raw) if np.isfinite(raw) else -np.inf
+                log_ratio = y_logp - state.logp + rev - fwd
         else:
             logger.warning("mala: non-finite drift; rejecting")
 
-    accepted = metropolis_accept(rng, log_alpha)
-    if accepted and y_logp is not None and np.isfinite(y_logp):
-        new_state = ChainState(position=y, logp=float(y_logp), grad=y_grad)
-    else:
-        accepted = False
-        new_state = state
-    return new_state, StepOutcome(
-        proposal=y if np.isfinite(y).all() else x.copy(),
-        log_alpha=log_alpha,
-        accepted=accepted,
-    )
+    return finish_step(rng, state, log_ratio, y if finite else x.copy(), y_logp, y_grad)
 
 
 class HmcKernel(Kernel):

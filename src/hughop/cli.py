@@ -64,12 +64,24 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
-def _csv_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _positive(args, *flags: str) -> None:
+    """Raise a :class:`ConfigError` for the first of ``flags`` whose value is not positive."""
+    for flag in flags:
+        value = getattr(args, flag[2:])
+        if not value > 0:
+            raise ConfigError(flag, f"must be positive, got {value}")
 
 
-def _csv_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+def _positive_list(args, flag: str, kind=float) -> list:
+    """The positive numbers of ``kind`` that ``flag`` lists, comma-separated."""
+    text = getattr(args, flag[2:])
+    try:
+        values = [kind(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        values = []
+    if not values or not all(v > 0 for v in values):
+        raise ConfigError(flag, f"expected comma-separated positive numbers, got {text!r}")
+    return values
 
 
 def _target_spec(text: str) -> dict:
@@ -114,10 +126,13 @@ def _cmd_tune(args) -> int:
 
 def _cmd_hug_efficiency(args) -> int:
     target = _build_target(_target_spec(args.target))
+    if not target.has_exact_sampler:
+        raise ConfigError("--target", f"{target.name}: hug efficiency sweep needs exact sampling")
+    _positive(args, "--reps")
     rows = hug_efficiency_experiment(
         target,
-        n_bounces_grid=_csv_ints(args.bs),
-        total_time_grid=_csv_floats(args.ts),
+        n_bounces_grid=_positive_list(args, "--bs", int),
+        total_time_grid=_positive_list(args, "--ts"),
         n_reps=args.reps,
         seed=args.seed or 0,
         mode=args.mode,
@@ -129,6 +144,7 @@ def _cmd_hug_efficiency(args) -> int:
 
 def _cmd_stability(args) -> int:
     target = _build_target(_target_spec(args.target))
+    _positive(args, "--step", "--steps")
     result = stability_experiment(target, step=args.step, steps=args.steps, seed=args.seed or 0)
     out = _out_dir(args) / "stability.csv"
     rows = [{"bounce": i + 1, "delta": float(d)} for i, d in enumerate(result["delta"])]
@@ -150,14 +166,15 @@ def _cmd_stability(args) -> int:
 
 def _cmd_hop_scaling(args) -> int:
     template = _target_spec(args.target)
-    dims = _csv_ints(args.dims)
+    dims = _positive_list(args, "--dims", int)
     for dim in dims:
         _build_target({**template, "dim": dim})
+    _positive(args, "--iters")
     rows = hop_scaling_experiment(
         template,
         dims=dims,
-        lam_grid=_csv_floats(args.lams),
-        kappa_grid=_csv_floats(args.kappas),
+        lam_grid=_positive_list(args, "--lams"),
+        kappa_grid=_positive_list(args, "--kappas"),
         iterations=args.iters,
         seed=args.seed or 0,
     )
@@ -167,6 +184,7 @@ def _cmd_hop_scaling(args) -> int:
 
 
 def _cmd_theorem2(args) -> int:
+    _positive(args, "--dim", "--lam", "--kappa", "--iters")
     result = theorem2_experiment(
         {"dist": "uniform", "low": args.low, "high": args.high},
         dim=args.dim,

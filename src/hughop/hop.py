@@ -25,7 +25,7 @@ import numpy as np
 
 from .exceptions import FactorizationError, NonFiniteInputError, ZeroGradientError
 from .metric import LocalMetric, local_covariance
-from .state import ChainState, Kernel, StepOutcome, metropolis_accept
+from .state import ChainState, Kernel, StepOutcome, finish_step
 from .targets import TargetModel
 
 __all__ = [
@@ -223,10 +223,7 @@ def hop_kernel_step(
     """
     x = state.position
     g_x = state.ensure_grad(target)
-    log_alpha = -np.inf
-    y = None
-    y_logp = None
-    y_grad = None
+    y = log_ratio = y_logp = y_grad = None
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
@@ -246,24 +243,11 @@ def hop_kernel_step(
                     )
                     fwd = _hop_log_density(x, y, g_x, params, metric_x)
                     rev = _hop_log_density(y, x, y_grad, params, metric_y)
-                    raw = (y_logp - state.logp) + rev - fwd
-                    log_alpha = min(0.0, raw) if np.isfinite(raw) else -np.inf
+                    log_ratio = (y_logp - state.logp) + rev - fwd
         except (FactorizationError, ZeroGradientError, NonFiniteInputError) as exc:
             logger.warning("hop: proposal rejected (%s)", exc)
 
-    accepted = metropolis_accept(rng, log_alpha)
-    if accepted and y is not None:
-        new_state = ChainState(position=y, logp=float(y_logp), grad=y_grad)
-    else:
-        accepted = False
-        new_state = state
-
-    outcome = StepOutcome(
-        proposal=y if y is not None else x.copy(),
-        log_alpha=log_alpha,
-        accepted=accepted,
-    )
-    return new_state, outcome
+    return finish_step(rng, state, log_ratio, x.copy() if y is None else y, y_logp, y_grad)
 
 
 class HopKernel(Kernel):

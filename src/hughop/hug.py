@@ -27,12 +27,11 @@ import numpy as np
 
 from .exceptions import FactorizationError, HugHopError, NonFiniteInputError, TrajectoryError
 from .metric import LocalMetric, checked_factor, local_covariance
-from .state import ChainState, Kernel, StepOutcome, metropolis_accept
+from .state import ChainState, Kernel, StepOutcome, finish_step
 from .targets import TargetModel
 
 __all__ = [
     "HugParams",
-    "HugOutcome",
     "HugTrajectory",
     "reflect",
     "reflect_in_metric",
@@ -98,13 +97,6 @@ class HugParams:
     @property
     def step(self) -> float:
         return self.total_time / self.n_bounces
-
-
-@dataclass
-class HugOutcome(StepOutcome):
-    """Hug step result, with the number of bounces that met a zero gradient."""
-
-    zero_grad_bounces: int = 0
 
 
 @dataclass
@@ -304,52 +296,38 @@ def hug_kernel_step(
     state: ChainState,
     params: HugParams,
     rng: np.random.Generator,
-) -> tuple[ChainState, HugOutcome]:
+) -> tuple[ChainState, StepOutcome]:
     """One Metropolis-corrected hug move from ``state``.
 
     The acceptance ratio compares log-density plus velocity log-density at
     both endpoints; in hessian mode the velocity density includes the
     position-dependent log-determinant.  Numerical failures during the
     trajectory are treated as log alpha = -inf: the failure set is symmetric
-    under the skew-reversal, so rejecting preserves detailed balance.
+    under the skew-reversal, so rejecting preserves detailed balance.  A
+    failed step proposes the start.  The outcome's
+    ``extras["zero_grad_bounces"]`` counts the bounces that met a zero
+    gradient.
     """
     x0 = state.position
-    log_alpha = -np.inf
-    traj = None
-    proposal_logp = None
-
     try:
         v0, logq0 = _draw_velocity(target, x0, params, rng)
     except FactorizationError:
         logger.warning("hug: velocity draw failed at current state; rejecting")
-        v0 = None
+        return finish_step(rng, state, None, x0.copy(), zero_grad_bounces=0)
 
-    if v0 is not None:
-        try:
-            traj = hug_trajectory(target, x0, v0, params)
-            with np.errstate(over="ignore", invalid="ignore"):
-                proposal_logp = float(target._log_density(traj.x))
-                logq_end = _velocity_log_density(target, traj.x, traj.v, params)
-            raw = (proposal_logp + logq_end) - (state.logp + logq0)
-            log_alpha = min(0.0, raw) if np.isfinite(raw) else -np.inf
-        except (TrajectoryError, FactorizationError, NonFiniteInputError) as exc:
-            logger.warning("hug: trajectory rejected (%s)", exc)
-            traj = None
+    try:
+        traj = hug_trajectory(target, x0, v0, params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logp = float(target._log_density(traj.x))
+            logq_end = _velocity_log_density(target, traj.x, traj.v, params)
+    except (TrajectoryError, FactorizationError, NonFiniteInputError) as exc:
+        logger.warning("hug: trajectory rejected (%s)", exc)
+        return finish_step(rng, state, None, x0.copy(), zero_grad_bounces=0)
 
-    accepted = metropolis_accept(rng, log_alpha)
-    if accepted and traj is not None and np.isfinite(proposal_logp):
-        new_state = ChainState(position=traj.x, logp=proposal_logp)
-    else:
-        accepted = False
-        new_state = state
-
-    outcome = HugOutcome(
-        proposal=traj.x if traj is not None else x0.copy(),
-        log_alpha=log_alpha,
-        accepted=accepted,
-        zero_grad_bounces=traj.zero_grad_bounces if traj is not None else 0,
+    log_ratio = (logp + logq_end) - (state.logp + logq0)
+    return finish_step(
+        rng, state, log_ratio, traj.x, logp, zero_grad_bounces=traj.zero_grad_bounces
     )
-    return new_state, outcome
 
 
 class HugKernel(Kernel):

@@ -94,6 +94,37 @@ def _final_run(target, kernels, iterations: int, seed: int) -> dict:
     return summary.to_dict()
 
 
+def _write_outputs(out_dir, model: str, data, seed: int, report: dict) -> None:
+    """Write the dataset and ``<model>_report.json`` under ``out_dir``, if given."""
+    if out_dir is not None:
+        save_dataset(data, Path(out_dir) / "dataset", seed=seed)
+        text = json.dumps(report, indent=2, sort_keys=True, default=str)
+        (Path(out_dir) / f"{model}_report.json").write_text(text)
+
+
+def _compare_on_posterior(
+    model, simulate, posterior, sizes, hh_grid, hmc_grid, seed, iterations, out_dir, pilots
+) -> dict:
+    """Tune hug+hop and HMC on the ``posterior`` of ``simulate(rng)``'s dataset
+    with ``pilots``-iteration pilots over their grids, then run and report both."""
+    iterations = iterations or 50_000
+    seeds = np.random.SeedSequence(seed).spawn(5)
+    data = simulate(np.random.default_rng(seeds[0]))
+    target = posterior(data)
+    hh_best = tune_kernels(target, _hug_hop, hh_grid, pilots, seeds[1]).best
+    hmc_best = tune_kernels(target, _hmc, hmc_grid, pilots, seeds[2]).best
+
+    report = {
+        "model": model,
+        "sizes": {**sizes, "dim": target.dim},
+        "tuned": {"hug_hop": hh_best, "hmc": hmc_best},
+        "hug_hop": _final_run(target, _hug_hop(hh_best), iterations, seeds[3]),
+        "hmc": _final_run(target, _hmc(hmc_best), iterations, seeds[4]),
+    }
+    _write_outputs(out_dir, model, data, seed, report)
+    return report
+
+
 def run_cauchit_comparison(
     seed: int = 0,
     iterations: int | None = None,
@@ -116,11 +147,6 @@ def run_cauchit_comparison(
     ESS(log pi) estimate.  HMC's best cell leads its grid by 26% on the
     50,000-iteration objective and is picked at either length.
     """
-    iterations = iterations or 50_000
-    seeds = np.random.SeedSequence(seed).spawn(5)
-    data = simulate_cauchit(n_obs, n_pred, tau, np.random.default_rng(seeds[0]))
-    target = CauchitPosterior(data)
-
     hh_grid = {
         "T": [0.5, 1.0],
         "B": [5, 10, 20],
@@ -128,23 +154,11 @@ def run_cauchit_comparison(
         "kappa": [0.5],
     }
     hmc_grid = {"L": [3, 6, 10], "step": [0.06, 0.1, 0.15]}
-    hh_best = tune_kernels(target, _hug_hop, hh_grid, pilot_iterations, seeds[1]).best
-    hmc_best = tune_kernels(target, _hmc, hmc_grid, pilot_iterations, seeds[2]).best
-
-    report = {
-        "model": "cauchit",
-        "sizes": {"n_obs": n_obs, "n_pred": n_pred, "dim": target.dim},
-        "tuned": {"hug_hop": hh_best, "hmc": hmc_best},
-        "hug_hop": _final_run(target, _hug_hop(hh_best), iterations, seeds[3]),
-        "hmc": _final_run(target, _hmc(hmc_best), iterations, seeds[4]),
-    }
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        save_dataset(data, out_dir / "dataset", seed=seed)
-        (out_dir / "cauchit_report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True, default=str)
-        )
-    return report
+    return _compare_on_posterior(
+        "cauchit", lambda rng: simulate_cauchit(n_obs, n_pred, tau, rng), CauchitPosterior,
+        {"n_obs": n_obs, "n_pred": n_pred}, hh_grid, hmc_grid,
+        seed, iterations, out_dir, pilot_iterations,
+    )
 
 
 def run_rasch_comparison(
@@ -167,11 +181,6 @@ def run_rasch_comparison(
     falls as 1/sqrt(n) here: at 40,000 iterations it is 4.7-5.7% for
     hug+hop and 3.5-4.5% for HMC.
     """
-    iterations = iterations or 50_000
-    seeds = np.random.SeedSequence(seed).spawn(5)
-    data = simulate_rasch(n_questions, n_subjects, tau, np.random.default_rng(seeds[0]))
-    target = RaschPosterior(data)
-
     hh_grid = {
         "T": [0.3, 0.6, 1.2],
         "B": [5, 8],
@@ -179,27 +188,11 @@ def run_rasch_comparison(
         "kappa": [0.5],
     }
     hmc_grid = {"L": [5, 8], "step": [0.05, 0.1, 0.2]}
-    hh_best = tune_kernels(target, _hug_hop, hh_grid, pilot_iterations, seeds[1]).best
-    hmc_best = tune_kernels(target, _hmc, hmc_grid, pilot_iterations, seeds[2]).best
-
-    report = {
-        "model": "rasch",
-        "sizes": {
-            "n_questions": n_questions,
-            "n_subjects": n_subjects,
-            "dim": target.dim,
-        },
-        "tuned": {"hug_hop": hh_best, "hmc": hmc_best},
-        "hug_hop": _final_run(target, _hug_hop(hh_best), iterations, seeds[3]),
-        "hmc": _final_run(target, _hmc(hmc_best), iterations, seeds[4]),
-    }
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        save_dataset(data, out_dir / "dataset", seed=seed)
-        (out_dir / "rasch_report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True, default=str)
-        )
-    return report
+    return _compare_on_posterior(
+        "rasch", lambda rng: simulate_rasch(n_questions, n_subjects, tau, rng), RaschPosterior,
+        {"n_questions": n_questions, "n_subjects": n_subjects}, hh_grid, hmc_grid,
+        seed, iterations, out_dir, pilot_iterations,
+    )
 
 
 def run_gibbs(
@@ -322,10 +315,5 @@ def run_spatial_comparison(
         "hug_hop": _summarise_gibbs(run_hh, recorded),
         "hmc": _summarise_gibbs(run_hmc, recorded),
     }
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        save_dataset(data, out_dir / "dataset", seed=seed)
-        (out_dir / "spatial_report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True, default=str)
-        )
+    _write_outputs(out_dir, "spatial", data, seed, report)
     return report

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from .exceptions import FactorizationError
-from .state import ChainState, metropolis_accept
+from .state import ChainState, log_acceptance, metropolis_accept
 from .targets import TargetModel
 
 __all__ = [
@@ -472,17 +472,15 @@ class GibbsSampler:
         if self.rwm_scale > 0.0:
             proposal = theta + self.rwm_scale * rng.standard_normal(2)
             z = field_state.position
-            log_ratio = -np.inf
-            a_prop = None
+            log_ratio = None
             try:
                 _, a_prop, _ = self.model.covariance(proposal)
-                raw = self.model.joint_log_density(
+                log_ratio = self.model.joint_log_density(
                     proposal, z, a_prop
                 ) - self.model.joint_log_density(theta, z, a)
-                log_ratio = min(0.0, raw) if np.isfinite(raw) else -np.inf
             except FactorizationError:
                 pass
-            if metropolis_accept(rng, log_ratio) and a_prop is not None:
+            if metropolis_accept(rng, log_acceptance(log_ratio)):
                 theta, a = proposal, a_prop
                 accepted_theta = True
                 target = self.model.conditional_target(theta, a)

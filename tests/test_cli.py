@@ -216,6 +216,37 @@ class TestExperiments:
         assert record["error"] == "ConfigError"
         assert record["message"].startswith("--target: ")
 
+    @pytest.mark.parametrize(
+        "command, argv, flag",
+        [
+            ("hug-efficiency", ["--target", '{"target":"lg","a":1,"scales":"U"}'], "--target"),
+            ("hug-efficiency", ["--bs", "1,x"], "--bs"),
+            ("hug-efficiency", ["--bs", "0"], "--bs"),
+            ("hug-efficiency", ["--ts", "1,x"], "--ts"),
+            ("hug-efficiency", ["--reps", "-1"], "--reps"),
+            ("stability", ["--step", "-1"], "--step"),
+            ("hop-scaling", ["--dims", "1,x"], "--dims"),
+            ("hop-scaling", ["--lams", "1,x"], "--lams"),
+            ("hop-scaling", ["--kappas", "1,x"], "--kappas"),
+            ("theorem2", ["--dim", "0"], "--dim"),
+            ("theorem2", ["--lam", "-1"], "--lam"),
+        ],
+    )
+    def test_bad_flag_is_config_error_naming_it(self, tmp_path, capsys, command, argv, flag):
+        gauss = '{"target":"gauss","dim":3,"scales":"U"}'
+        valid = {
+            "hug-efficiency": ["--target", gauss, "--bs", "1", "--ts", "1.0", "--reps", "2"],
+            "stability": ["--target", gauss, "--step", "0.1", "--steps", "10"],
+            "hop-scaling": ["--target", '{"target":"gauss","scales":"U"}', "--dims", "3",
+                            "--lams", "1", "--kappas", "0.5", "--iters", "200"],
+            "theorem2": ["--dim", "5", "--iters", "200"],
+        }[command]
+        code = main([command, *valid, *argv, "--out", str(tmp_path)])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(f"{flag}: ")
+
     def test_models_subcommand_smoke(self, tmp_path, capsys):
         code = main(
             ["models", "spatial", "--iterations", "400", "--grid-rows", "3",

@@ -106,7 +106,8 @@ def test_cached_state_matches_target_after_every_step(name):
 
 class Poisoned(TargetModel):
     """Standard normal whose log-density, gradient or Hessian is NaN at every
-    point other than ``start``."""
+    point other than ``start``; the ``logp_inf`` poison makes the
+    log-density +inf there instead."""
 
     name = "poisoned"
 
@@ -119,7 +120,9 @@ class Poisoned(TargetModel):
         return not np.array_equal(x, self.start)
 
     def _log_density(self, x):
-        return np.nan if self.poison == "logp" and self._away(x) else -0.5 * float(x @ x)
+        if self.poison in ("logp", "logp_inf") and self._away(x):
+            return np.nan if self.poison == "logp" else np.inf
+        return -0.5 * float(x @ x)
 
     def _gradient(self, x):
         return np.full(self.dim, np.nan) if self.poison == "grad" and self._away(x) else -x
@@ -143,7 +146,7 @@ POISONED_CASES = [
     (label, poison)
     for label in ("hug-plain", "hug-precond", "hug-hessian", "hop-plus1", "hop-hessian",
                   "hmc-identity", "mala", "rwm-hessian")
-    for poison in ("logp", "grad", "hess")
+    for poison in ("logp", "logp_inf", "grad", "hess")
     if poison != "hess" or "hessian" in label
     if poison != "grad" or label != "rwm-hessian"
 ]
@@ -160,6 +163,36 @@ def test_non_finite_proposal_rejects_with_the_same_warnings(label, poison, caplo
     assert outcome.log_alpha == -np.inf
     assert new_state is state
     np.testing.assert_array_equal(new_state.position, target.start)
+    if kernel.name == "hug":
+        assert outcome.extras == {"zero_grad_bounces": 0}
     warnings = {"grad": GRADIENT_WARNING, "hess": HESSIAN_WARNING}.get(poison, {})
     expected = [warnings[kernel.name]] if kernel.name in warnings else []
     assert [record.getMessage() for record in caplog.records] == expected
+
+
+class Flat(TargetModel):
+    """Constant log-density: every gradient is zero."""
+
+    name = "flat"
+
+    def __init__(self, dim: int):
+        self.dim = dim
+
+    def _log_density(self, x):
+        return 0.0
+
+    def _gradient(self, x):
+        return np.zeros(self.dim)
+
+    def _hessian(self, x):
+        return np.zeros((self.dim, self.dim))
+
+
+def test_hug_counts_zero_gradient_bounces_in_extras():
+    target = Flat(3)
+    kernel = make_kernel({"kernel": "hug", "T": 0.5, "B": 4}, dim=3)
+    state = ChainState.at(target, np.zeros(3))
+    new_state, outcome = kernel.step(target, state, np.random.default_rng(1))
+    assert outcome.extras == {"zero_grad_bounces": 4}
+    assert outcome.accepted  # unreflected, the velocity and density are unchanged
+    assert new_state.logp == 0.0
