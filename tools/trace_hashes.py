@@ -4,8 +4,9 @@ A refactor that leaves the arithmetic unchanged must leave every trace
 byte-identical for the same config and seed.  This script runs a fixed set
 of short chains, hashes the recorded log-density, positions and accept
 flags of each, hashes the reports and dataset files of three small model
-comparisons with their timing fields dropped, and writes or checks a JSON manifest of the hashes together
-with the environment they were computed in (Python, numpy, scipy, BLAS).
+comparisons with their timing fields dropped, and writes or checks a JSON
+manifest of the hashes together with the environment they were computed in
+(Python, numpy, scipy, BLAS).
 Hashes are only comparable within one environment; ``--check`` reports a
 differing environment next to any mismatch.
 
