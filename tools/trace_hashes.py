@@ -143,6 +143,12 @@ CHAINS = {
                                         "mass_matrix": [1.0, 0.5, 2.0, 1.5, 0.8]}]), 21),
     "hmc-full-mass/lg5": (_chain(LG5, [{"kernel": "hmc", "L": 8, "step_size": 0.2,
                                         "mass_matrix": PRECOND}]), 22),
+    # three Hessian kernels whose floors differ (hug) or agree (hop, RWM)
+    "hug-hessian-eps1e-3+hop-hessian+rwm-hessian/lg5": (
+        _chain(LG5, [{"kernel": "hug", "T": 0.5, "B": 5, "mode": "hessian", "eps": 1e-3},
+                     {"kernel": "hop", "lambda": 1.5, "kappa": 0.5, "hessian": True,
+                      "eps": 1e-6},
+                     {"kernel": "rwm", "step_scale": 0.8, "local_cov": "hessian"}]), 26),
 }
 
 
@@ -178,8 +184,9 @@ def _gibbs_hashes() -> dict:
 
 
 def _model_hashes() -> dict:
-    """Chains on the cauchit (d=10) and Rasch (d=4+8) posteriors."""
-    seeds = np.random.SeedSequence(2025).spawn(5)
+    """Chains on the cauchit (d=10) and Rasch (d=4+8) posteriors; the Hessian
+    chain on the cauchit carries dense ``eigh`` metrics."""
+    seeds = np.random.SeedSequence(2025).spawn(6)
     cauchit = CauchitPosterior(simulate_cauchit(200, 10, 1.0, np.random.default_rng(seeds[0])))
     rasch = RaschPosterior(simulate_rasch(5, 8, 1.0, np.random.default_rng(seeds[1])))
     chains = {
@@ -188,6 +195,9 @@ def _model_hashes() -> dict:
         "hmc/cauchit": (cauchit, [HmcKernel(HmcParams(n_steps=10, step_size=0.06))]),
         "hug+hop/rasch": (rasch, [HugKernel(HugParams(total_time=1.0, n_bounces=5)),
                                   HopKernel(HopParams(lam=1.5, kappa=0.5))]),
+        "hug-hessian+hop-hessian/cauchit": (
+            cauchit, [HugKernel(HugParams(total_time=0.5, n_bounces=5, mode="hessian")),
+                      HopKernel(HopParams(lam=1.0, kappa=0.5, use_hessian=True))]),
     }
     hashes = {}
     for (name, (target, kernels)), seed in zip(chains.items(), seeds[2:]):
