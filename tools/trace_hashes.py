@@ -143,9 +143,10 @@ CHAINS = {
                                         "mass_matrix": [1.0, 0.5, 2.0, 1.5, 0.8]}]), 21),
     "hmc-full-mass/lg5": (_chain(LG5, [{"kernel": "hmc", "L": 8, "step_size": 0.2,
                                         "mass_matrix": PRECOND}]), 22),
-    # three Hessian kernels whose floors differ (hug) or agree (hop, RWM)
-    "hug-hessian-eps1e-3+hop-hessian+rwm-hessian/lg5": (
-        _chain(LG5, [{"kernel": "hug", "T": 0.5, "B": 5, "mode": "hessian", "eps": 1e-3},
+    # three Hessian kernels whose floors differ (hug) or agree (hop, RWM);
+    # at eps=0.05 hug's metric is regularised where the others' is not
+    "hug-hessian-eps0.05+hop-hessian+rwm-hessian/lg5": (
+        _chain(LG5, [{"kernel": "hug", "T": 0.5, "B": 5, "mode": "hessian", "eps": 0.05},
                      {"kernel": "hop", "lambda": 1.5, "kappa": 0.5, "hessian": True,
                       "eps": 1e-6},
                      {"kernel": "rwm", "step_scale": 0.8, "local_cov": "hessian"}]), 26),
