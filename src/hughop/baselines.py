@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import FactorizationError, HugHopError, NonFiniteInputError, TrajectoryError
-from .metric import checked_factor, local_covariance
+from .metric import check_floor, checked_factor, local_covariance
 from .state import ChainState, Kernel, StepOutcome, finish_step
 from .targets import TargetModel
 
@@ -62,7 +62,8 @@ class RwmParams:
     """Random-walk proposal scale with an optional local covariance.
 
     ``local_cov`` is ``"none"`` (isotropic), ``"fixed"`` (covariance ``cov``)
-    or ``"hessian"`` (local covariance from the Hessian, floor ``eps``).
+    or ``"hessian"`` (local covariance from the Hessian, with the finite
+    positive floor ``eps``).
     A fixed ``cov`` must be a symmetric positive-definite matrix; its factor
     is computed once, at construction, into ``cov_factor``.
     """
@@ -84,6 +85,7 @@ class RwmParams:
             cov, a0 = checked_factor(self.cov, "cov")
             object.__setattr__(self, "cov", cov)
             object.__setattr__(self, "cov_factor", a0)
+        check_floor(self.eps)
 
 
 @dataclass(frozen=True)
@@ -200,12 +202,13 @@ def rwm_step(
     rng: np.random.Generator,
 ) -> tuple[ChainState, StepOutcome]:
     """One random-walk move, with the generic Hastings correction when the
-    proposal covariance depends on position."""
+    proposal covariance depends on position.  The Hessian covariance at x is
+    read from the state's cache, and an accepted move caches the one at y."""
     x = state.position
     s = params.step_scale
     z = rng.standard_normal(x.size)
     y = x.copy()
-    log_ratio = y_logp = None
+    log_ratio = y_logp = metric_y = None
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
@@ -215,7 +218,7 @@ def rwm_step(
             elif params.local_cov == "fixed":
                 y = x + s * (params.cov_factor.T @ z)
             else:
-                metric_x = local_covariance(target._hessian(x), params.eps)
+                metric_x = state.ensure_metric(target, params.eps, local_covariance)
                 y = x + s * metric_x.unwhiten(z)
             target._validate(y)  # y is checked once; the trusted methods follow
             if params.local_cov == "hessian":
@@ -229,7 +232,7 @@ def rwm_step(
         except (FactorizationError, NonFiniteInputError) as exc:
             logger.warning("rwm: proposal rejected (%s)", exc)
 
-    return finish_step(rng, state, log_ratio, y, y_logp)
+    return finish_step(rng, state, log_ratio, y, y_logp, metric=metric_y)
 
 
 def mala_step(

@@ -67,7 +67,7 @@ def _load_config(args) -> ExperimentConfig:
 def _positive(args, *flags: str) -> None:
     """Raise a :class:`ConfigError` for the first of ``flags`` whose value is not positive."""
     for flag in flags:
-        value = getattr(args, flag[2:])
+        value = getattr(args, flag[2:].replace("-", "_"))
         if not value > 0:
             raise ConfigError(flag, f"must be positive, got {value}")
 
@@ -202,6 +202,9 @@ def _cmd_theorem2(args) -> int:
 def _cmd_models(args) -> int:
     from . import model_runs
 
+    if args.iterations is not None:
+        _positive(args, "--iterations")
+    _positive(args, "--grid-rows", "--grid-cols")
     out = _out_dir(args)
     seed = args.seed if args.seed is not None else 0
     if args.model == "cauchit":

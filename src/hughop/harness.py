@@ -15,6 +15,7 @@ are reproducible and cells are independent.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field as dataclass_field, replace
 from itertools import product
@@ -76,6 +77,14 @@ def _integer(value, field: str) -> int:
     return int(value)
 
 
+def _floor(value, field: str) -> float:
+    """A metric floor ``eps``: a finite positive number."""
+    eps = _number(value, field)
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigError(field, f"must be positive and finite, got {value!r}")
+    return eps
+
+
 def _flag(value, field: str) -> bool:
     """A config boolean; a string such as ``"false"`` is an error, not true."""
     if not isinstance(value, (bool, np.bool_)):
@@ -88,7 +97,7 @@ def _hug_from_spec(spec: dict, where: str) -> HugKernel:
         total_time=_number(spec.pop("T", 1.0), f"{where}.T"),
         n_bounces=_integer(spec.pop("B", 10), f"{where}.B"),
         mode=str(spec.pop("mode", "plain")),
-        eps=_number(spec.pop("eps", 1e-6), f"{where}.eps"),
+        eps=_floor(spec.pop("eps", 1e-6), f"{where}.eps"),
         velocity=str(spec.pop("velocity", "local")),
     )
     if "precond_cov" in spec:
@@ -105,7 +114,7 @@ def _hop_from_spec(spec: dict, dim: int | None, where: str) -> HopKernel:
     kwargs = dict(
         lam=_number(lam, f"{where}.lambda"),
         use_hessian=_flag(spec.pop("hessian", spec.pop("use_hessian", False)), f"{where}.hessian"),
-        eps=_number(spec.pop("eps", 1e-6), f"{where}.eps"),
+        eps=_floor(spec.pop("eps", 1e-6), f"{where}.eps"),
         guard=str(spec.pop("guard", "plus1")),
     )
     if "mu" in spec:
@@ -152,7 +161,7 @@ def make_kernel(spec: dict, dim: int | None = None, where: str = "kernel"):
                     step_scale=_number(spec.pop("step_scale", 1.0), f"{where}.step_scale"),
                     local_cov=str(spec.pop("local_cov", "none")),
                     cov=None if cov is None else np.asarray(cov, dtype=float),
-                    eps=_number(spec.pop("eps", 1e-6), f"{where}.eps"),
+                    eps=_floor(spec.pop("eps", 1e-6), f"{where}.eps"),
                 )
             )
         elif name == "mala":
@@ -775,25 +784,26 @@ def write_trace_csv(path, trace: Trace, config) -> None:
     """Write a trace as delimited text with a config-embedding header.
 
     Columns: iteration, x1..xd (when recorded), logpi, then one accept flag
-    per kernel.  Identical configs produce byte-identical files.
+    per kernel.  Identical configs produce byte-identical files.  Each row
+    is formatted by one ``%``-format string (floats as ``%.17g``) and
+    written as it is formed, so the file is never held in memory.
     """
     path = Path(path)
     labels = sorted(trace.accept.keys())
-    columns = ["iteration"]
-    if trace.positions is not None:
-        columns += [f"x{j + 1}" for j in range(trace.positions.shape[1])]
+    positions = trace.positions
+    dim = 0 if positions is None else positions.shape[1]
+    columns = ["iteration"] + [f"x{j + 1}" for j in range(dim)]
     columns += ["logpi"] + [f"accept_{label}" for label in labels]
+    row = "%d," + "%.17g," * dim + "%.17g" + ",%d" * len(labels) + "\n"
+    n = trace.n_recorded
+    log_target = np.asarray(trace.log_target).tolist()
+    accepts = [np.asarray(trace.accept[label])[:n].tolist() for label in labels]
     with path.open("w") as handle:
         handle.write(_config_header(config))
         handle.write(",".join(columns) + "\n")
-        n = trace.n_recorded
-        for i in range(n):
-            fields = [str(i)]
-            if trace.positions is not None:
-                fields += [f"{v:.17g}" for v in trace.positions[i]]
-            fields.append(f"{trace.log_target[i]:.17g}")
-            fields += [str(int(trace.accept[label][i])) for label in labels]
-            handle.write(",".join(fields) + "\n")
+        for i, logpi, *flags in zip(range(n), log_target, *accepts):
+            x = () if positions is None else positions[i].tolist()
+            handle.write(row % (i, *x, logpi, *flags))
 
 
 def append_summary(path, summary: RunSummary, config) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import FactorizationError, NonFiniteInputError, ZeroGradientError
-from .metric import LocalMetric, local_covariance
+from .metric import LocalMetric, check_floor, local_covariance
 from .state import ChainState, Kernel, StepOutcome, finish_step
 from .targets import TargetModel
 
@@ -49,7 +49,8 @@ class HopParams:
     Exactly one of ``kappa`` / ``mu`` must be given; ``kappa`` sets
     mu = sqrt(kappa * lam).  ``guard`` selects the proposal-variance
     multiplier: ``raw`` uses 1/||g||^2 and fails on vanishing gradients,
-    ``plus1`` uses 1/(1 + ||g||^2) and is always finite.
+    ``plus1`` uses 1/(1 + ||g||^2) and is always finite.  ``eps``, the
+    floor of the Hessian variant's local metric, is finite and positive.
     """
 
     lam: float
@@ -72,6 +73,7 @@ class HopParams:
             raise ValueError("mu must be strictly positive")
         if self.guard not in GUARDS:
             raise ValueError(f"guard must be one of {GUARDS}")
+        check_floor(self.eps)
 
 
 def default_lam(dim: int) -> float:
@@ -219,16 +221,17 @@ def hop_kernel_step(
 
     The state is finite, and y, l(y) and its gradient are checked before the
     densities, so the target's trusted methods and the unchecked density
-    are used throughout.
+    are used throughout.  The Hessian variant reads the metric at x from the
+    state's cache, and an accepted move caches the one built at y.
     """
     x = state.position
     g_x = state.ensure_grad(target)
-    y = log_ratio = y_logp = y_grad = None
+    y = log_ratio = y_logp = y_grad = metric_y = None
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             metric_x = (
-                local_covariance(target._hessian(x), params.eps)
+                state.ensure_metric(target, params.eps, local_covariance)
                 if params.use_hessian
                 else None
             )
@@ -247,7 +250,9 @@ def hop_kernel_step(
         except (FactorizationError, ZeroGradientError, NonFiniteInputError) as exc:
             logger.warning("hop: proposal rejected (%s)", exc)
 
-    return finish_step(rng, state, log_ratio, x.copy() if y is None else y, y_logp, y_grad)
+    return finish_step(
+        rng, state, log_ratio, x.copy() if y is None else y, y_logp, y_grad, metric_y
+    )
 
 
 class HopKernel(Kernel):

@@ -14,7 +14,9 @@ Three bounce modes are provided:
   reflections.
 * ``hessian``: every bounce uses the local covariance built from the Hessian
   at the bounce point, and the velocity is drawn from the local covariance
-  at the current state (an isotropic draw is available as an option).
+  at the current state (an isotropic draw is available as an option).  The
+  metric at the state is read from the chain state's cache, and an accepted
+  move caches the one built at its endpoint.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import FactorizationError, HugHopError, NonFiniteInputError, TrajectoryError
-from .metric import LocalMetric, checked_factor, local_covariance
+from .metric import LocalMetric, check_floor, checked_factor, diagonal_cov_dot, local_covariance
 from .state import ChainState, Kernel, StepOutcome, finish_step
 from .targets import TargetModel
 
@@ -56,7 +58,8 @@ class HugParams:
             ``total_time / n_bounces`` (plain division).
         mode: one of ``plain``, ``precond``, ``hessian``.
         precond_cov: fixed SPD covariance, required in ``precond`` mode.
-        eps: regularisation floor for the local metric (``hessian`` mode).
+        eps: regularisation floor for the local metric (``hessian`` mode),
+            finite and positive.
         velocity: ``local`` draws the velocity from the local covariance,
             ``isotropic`` from N(0, I) (``hessian`` mode only).
         zero_grad_tol: gradient norms at or below this leave the velocity
@@ -93,6 +96,7 @@ class HugParams:
             object.__setattr__(self, "precond_factor", a0)
         if self.velocity not in ("local", "isotropic"):
             raise ValueError("velocity must be 'local' or 'isotropic'")
+        check_floor(self.eps)
 
     @property
     def step(self) -> float:
@@ -151,18 +155,18 @@ def reflect_in_metric(
     g = np.asarray(g, dtype=float)
     if not (np.isfinite(v).all() and np.isfinite(g).all()):
         raise NonFiniteInputError("reflect_in_metric: non-finite input")
-    return _reflect_in_metric(v.copy(), g, sigma, zero_grad_tol)
+    sg = sigma.cov_dot(g) if isinstance(sigma, LocalMetric) else sigma @ g
+    return _reflect_in_metric(v.copy(), g, sg, zero_grad_tol)
 
 
 def _reflect_in_metric(
-    v: np.ndarray, g: np.ndarray, sigma: np.ndarray | LocalMetric, zero_grad_tol: float
+    v: np.ndarray, g: np.ndarray, sg: np.ndarray, zero_grad_tol: float
 ) -> np.ndarray:
-    """:func:`reflect_in_metric` without its checks.
+    """:func:`reflect_in_metric` without its checks, given ``sg`` = S g.
 
     A non-finite quadratic form falls back to the identity, so the caller
     must already know that ``g`` is finite.
     """
-    sg = sigma.cov_dot(g) if isinstance(sigma, LocalMetric) else sigma @ g
     denom = g @ sg
     if not math.isfinite(denom) or denom <= zero_grad_tol:
         return v
@@ -178,38 +182,48 @@ def _bounce_loop(
 ) -> HugTrajectory:
     """The bounce loop of :func:`hug_trajectory`.
 
-    The loop calls the target's trusted methods and the inner reflections.
-    ``checked`` raises at the first non-finite bounce point, gradient or
-    velocity, so every call sees inputs checked one sub-move earlier.
-    Unchecked, the loop tests only what a non-finite value could hide: a
-    gradient whose norm is not finite is tested entry by entry, because the
-    metric reflection treats a non-finite quadratic form as "no reflection"
-    and would carry a NaN gradient on as a finite velocity.
+    The loop calls the target's trusted methods and the inner reflections;
+    in ``hessian`` mode one ``_grad_and_hessian`` call gives both values,
+    and a (d,) Hessian diagonal gives S g with no metric built.  ``checked``
+    raises at the first non-finite bounce point, gradient or velocity, so
+    every call sees inputs checked one sub-move earlier.  Unchecked, the
+    loop tests only what a non-finite value could hide: a gradient whose
+    norm is not finite is tested entry by entry, because the metric
+    reflection treats a non-finite quadratic form as "no reflection" and
+    would carry a NaN gradient on as a finite velocity.
     """
     half = 0.5 * params.step
     tol = params.zero_grad_tol
+    mode = params.mode
     zero_grad = 0
+    half_v = half * v  # the drift of the half-steps on either side of a bounce
     for b in range(params.n_bounces):
-        x_mid = x + half * v
+        x_mid = x + half_v
         if checked and not np.isfinite(x_mid).all():
             raise TrajectoryError("non-finite bounce point", b)
-        g = target._gradient(x_mid)
+        if mode == "hessian":
+            g, h = target._grad_and_hessian(x_mid)
+        else:
+            g = target._gradient(x_mid)
         norm_g = math.sqrt(g @ g)
         if (checked or not math.isfinite(norm_g)) and not np.isfinite(g).all():
             raise TrajectoryError("non-finite gradient at bounce point", b)
         if norm_g <= tol:
             zero_grad += 1
-        if params.mode == "plain":
+        if mode == "plain":
             v = _reflect(v, g, norm_g, tol)
         else:
-            if params.mode == "precond":
-                sigma = params.precond_cov
+            if mode == "precond":
+                sg = params.precond_cov @ g
+            elif h.ndim == 1:
+                sg = diagonal_cov_dot(h, g, params.eps)
             else:
-                sigma = local_covariance(target._hessian(x_mid), params.eps)
-            v = _reflect_in_metric(v, g, sigma, tol)
+                sg = local_covariance(h, params.eps).cov_dot(g)
+            v = _reflect_in_metric(v, g, sg, tol)
         if checked and not np.isfinite(v).all():
             raise TrajectoryError("non-finite velocity after bounce", b)
-        x = x_mid + half * v
+        half_v = half * v
+        x = x_mid + half_v
     return HugTrajectory(x=x, v=v, zero_grad_bounces=zero_grad)
 
 
@@ -235,20 +249,29 @@ def hug_trajectory(
         TrajectoryError: when an intermediate state becomes non-finite; the
             error identifies the failing bounce index.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
-    if params.total_time == 0.0:
-        return HugTrajectory(x=x, v=v)
-
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            traj = _bounce_loop(target, x, v, params, checked=False)
-            if np.isfinite(traj.x).all() and np.isfinite(traj.v).all():
-                return traj
-        except HugHopError:  # the checked replay raises what a per-step check would
-            pass
-        traj = _bounce_loop(target, x, v, params, checked=True)
+        return _trajectory(
+            target,
+            np.asarray(x0, dtype=float).copy(),
+            np.asarray(v0, dtype=float).copy(),
+            params,
+        )
 
+
+def _trajectory(
+    target: TargetModel, x: np.ndarray, v: np.ndarray, params: HugParams
+) -> HugTrajectory:
+    """:func:`hug_trajectory` without its copies and its ``errstate``, which
+    the caller holds.  The endpoint position is always a new array."""
+    if params.total_time == 0.0:
+        return HugTrajectory(x=x.copy(), v=v)
+    try:
+        traj = _bounce_loop(target, x, v, params, checked=False)
+        if np.isfinite(traj.x).all() and np.isfinite(traj.v).all():
+            return traj
+    except HugHopError:  # the checked replay raises what a per-step check would
+        pass
+    traj = _bounce_loop(target, x, v, params, checked=True)
     if not np.isfinite(traj.x).all():
         raise TrajectoryError("non-finite final position", params.n_bounces - 1)
     return traj
@@ -256,22 +279,22 @@ def hug_trajectory(
 
 def _draw_velocity(
     target: TargetModel,
-    x0: np.ndarray,
+    state: ChainState,
     params: HugParams,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
-    """Sample v0 ~ q(.|x0) and return (v0, log q(v0|x0)).
+    """Sample v0 ~ q(.|x0) at the state's position x0 and return
+    (v0, log q(v0|x0)); the local metric comes from the state's cache.
 
     The returned log-density drops the dimension constant, which cancels in
     the acceptance ratio.
     """
-    d = x0.size
-    z = rng.standard_normal(d)
+    z = rng.standard_normal(state.position.size)
     if params.mode == "plain" or (params.mode == "hessian" and params.velocity == "isotropic"):
         return z, -0.5 * float(z @ z)
     if params.mode == "precond":
         return params.precond_factor.T @ z, -0.5 * float(z @ z)
-    metric = local_covariance(target._hessian(x0), params.eps)
+    metric = state.ensure_metric(target, params.eps, local_covariance)
     return metric.unwhiten(z), -0.5 * float(z @ z) - 0.5 * metric.log_det
 
 
@@ -280,15 +303,16 @@ def _velocity_log_density(
     x: np.ndarray,
     v: np.ndarray,
     params: HugParams,
-) -> float:
-    """log q(v|x) under the mode's velocity distribution (constants dropped)."""
+) -> tuple[float, LocalMetric | None]:
+    """log q(v|x) under the mode's velocity distribution (constants dropped),
+    and the local metric at x when the distribution uses one."""
     if params.mode == "plain" or (params.mode == "hessian" and params.velocity == "isotropic"):
-        return -0.5 * float(v @ v)
+        return -0.5 * float(v @ v), None
     if params.mode == "precond":
         w = np.linalg.solve(params.precond_factor.T, v)
-        return -0.5 * float(w @ w)
+        return -0.5 * float(w @ w), None
     metric = local_covariance(target._hessian(x), params.eps)
-    return -0.5 * metric.quad_inv(v) - 0.5 * metric.log_det
+    return -0.5 * metric.quad_inv(v) - 0.5 * metric.log_det, metric
 
 
 def hug_kernel_step(
@@ -306,28 +330,30 @@ def hug_kernel_step(
     under the skew-reversal, so rejecting preserves detailed balance.  A
     failed step proposes the start.  The outcome's
     ``extras["zero_grad_bounces"]`` counts the bounces that met a zero
-    gradient.
+    gradient.  In hessian mode with a local velocity, an accepted move
+    caches the metric built at its endpoint in the new state.
     """
     x0 = state.position
-    try:
-        v0, logq0 = _draw_velocity(target, x0, params, rng)
-    except FactorizationError:
-        logger.warning("hug: velocity draw failed at current state; rejecting")
-        return finish_step(rng, state, None, x0.copy(), zero_grad_bounces=0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            v0, logq0 = _draw_velocity(target, state, params, rng)
+        except FactorizationError:
+            logger.warning("hug: velocity draw failed at current state; rejecting")
+            return finish_step(rng, state, None, x0.copy(), zero_grad_bounces=0)
 
-    try:
-        traj = hug_trajectory(target, x0, v0, params)
-        with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            traj = _trajectory(target, x0, v0, params)
             logp = float(target._log_density(traj.x))
-            logq_end = _velocity_log_density(target, traj.x, traj.v, params)
-    except (TrajectoryError, FactorizationError, NonFiniteInputError) as exc:
-        logger.warning("hug: trajectory rejected (%s)", exc)
-        return finish_step(rng, state, None, x0.copy(), zero_grad_bounces=0)
+            logq_end, metric = _velocity_log_density(target, traj.x, traj.v, params)
+        except (TrajectoryError, FactorizationError, NonFiniteInputError) as exc:
+            logger.warning("hug: trajectory rejected (%s)", exc)
+            return finish_step(rng, state, None, x0.copy(), zero_grad_bounces=0)
 
-    log_ratio = (logp + logq_end) - (state.logp + logq0)
-    return finish_step(
-        rng, state, log_ratio, traj.x, logp, zero_grad_bounces=traj.zero_grad_bounces
-    )
+        log_ratio = (logp + logq_end) - (state.logp + logq0)
+        return finish_step(
+            rng, state, log_ratio, traj.x, logp, metric=metric,
+            zero_grad_bounces=traj.zero_grad_bounces,
+        )
 
 
 class HugKernel(Kernel):

@@ -15,19 +15,20 @@ the product-form targets return it) or as a matrix whose off-diagonal
 entries are all exactly zero, is its own eigendecomposition: it needs no
 ``eigh``, V is the identity and is not stored, and every product is
 elementwise, O(d).  The log-determinant and the square roots of s are
-computed on first use, since a hug bounce needs only Sigma g.
+computed on first use, since a hug bounce needs only Sigma g; a bounce off
+a diagonal Hessian vector builds no metric at all (:func:`diagonal_cov_dot`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .exceptions import FactorizationError, NonFiniteInputError
 
-__all__ = ["LocalMetric", "local_covariance", "checked_factor"]
+__all__ = ["LocalMetric", "local_covariance", "diagonal_cov_dot", "checked_factor", "check_floor"]
 
 # eigenvalue magnitudes below this are clamped before inversion so that
 # inflection points do not overflow
@@ -48,32 +49,46 @@ class LocalMetric:
             ascending order the log-determinant is summed in (the order
             ``eigh`` would have listed the eigenvalues in); ``None`` when
             ``eigvals`` are already in that order.
+        eps: the regularisation floor the metric was built with, which keys
+            the chain state's metric cache; ``None`` when not built by
+            :func:`local_covariance`.
 
-    ``log_det`` and the square roots of s are computed on first use.
-    ``sigma`` and ``a`` build the dense matrices on demand; the kernels use
-    the O(d^2) (diagonal: O(d)) products below instead.
+    ``log_det`` and the square roots of s are computed on first use and kept
+    in plain attributes.  ``sigma`` and ``a`` build the dense matrices on
+    demand; the kernels use the O(d^2) (diagonal: O(d)) products below
+    instead.
     """
 
     eigvals: np.ndarray
     eigvecs: np.ndarray | None
     regularized: bool = False
     log_det_order: np.ndarray | None = field(default=None, repr=False, compare=False)
+    eps: float | None = None
+    _log_det: float | None = field(default=None, init=False, repr=False, compare=False)
+    _root_s: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _inv_root_s: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
-    @cached_property
+    @property
     def log_det(self) -> float:
         """log determinant of Sigma, the sum of log s."""
-        log_s = np.log(self.eigvals)
-        if self.log_det_order is not None:
-            log_s = log_s[np.argsort(self.log_det_order)]
-        return float(np.sum(log_s))
+        if self._log_det is None:
+            log_s = np.log(self.eigvals)
+            if self.log_det_order is not None:
+                log_s = log_s[np.argsort(self.log_det_order)]
+            self._log_det = float(np.sum(log_s))
+        return self._log_det
 
-    @cached_property
+    @property
     def _root(self) -> np.ndarray:
-        return np.sqrt(self.eigvals)
+        if self._root_s is None:
+            self._root_s = np.sqrt(self.eigvals)
+        return self._root_s
 
-    @cached_property
+    @property
     def _inv_root(self) -> np.ndarray:
-        return 1.0 / self._root
+        if self._inv_root_s is None:
+            self._inv_root_s = 1.0 / self._root
+        return self._inv_root_s
 
     @property
     def sigma(self) -> np.ndarray:
@@ -147,6 +162,41 @@ def checked_factor(cov, name: str) -> tuple[np.ndarray, np.ndarray]:
         raise FactorizationError(f"{name} is not positive definite") from exc
 
 
+NON_FINITE_HESSIAN = "Hessian contains non-finite entries"
+
+
+def check_floor(eps: float) -> None:
+    """Raise ``ValueError`` unless the regularisation floor ``eps`` is finite
+    and positive."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+
+
+def _cov_eigvals(eigvals: np.ndarray, eps: float) -> tuple[np.ndarray, bool]:
+    """The covariance eigenvalues s for Hessian eigenvalues ``eigvals``, and
+    whether the regularised branch was taken: the rule of
+    :func:`local_covariance`."""
+    if eigvals.max() < -eps:  # -H strictly positive definite with margin eps
+        return -1.0 / eigvals, False  # the bits of 1 / (-eigvals), one pass fewer
+    return 1.0 / np.maximum(np.abs(eigvals), EIG_FLOOR) + eps, True
+
+
+def diagonal_cov_dot(diag: np.ndarray, g: np.ndarray, eps: float) -> np.ndarray:
+    """Sigma g for the local covariance of a diagonal Hessian, given as the
+    (d,) float vector ``diag`` of its diagonal, without building a
+    :class:`LocalMetric`.
+
+    The bits of ``local_covariance(diag, eps).cov_dot(g)``, which is
+    ``s * g``.  ``eps`` is trusted to be positive.
+
+    Raises:
+        NonFiniteInputError: if ``diag`` contains non-finite entries.
+    """
+    if not np.isfinite(diag).all():
+        raise NonFiniteInputError(NON_FINITE_HESSIAN)
+    return _cov_eigvals(diag, eps)[0] * g
+
+
 def local_covariance(hess: np.ndarray, eps: float = 1e-6) -> LocalMetric:
     """Local covariance derived from a log-density Hessian.
 
@@ -169,12 +219,13 @@ def local_covariance(hess: np.ndarray, eps: float = 1e-6) -> LocalMetric:
     Args:
         hess: symmetric d x d Hessian of the log-density, or the (d,)
             diagonal of a diagonal one.
-        eps: positive regularisation floor.
+        eps: finite positive regularisation floor.
 
     Raises:
         FactorizationError: if a matrix ``hess`` is not square or not
             symmetric to 1e-8.
         NonFiniteInputError: if ``hess`` contains non-finite entries.
+        ValueError: if ``eps`` is not finite and positive.
     """
     hess = np.asarray(hess, dtype=float)
     if hess.ndim == 1:
@@ -188,9 +239,8 @@ def local_covariance(hess: np.ndarray, eps: float = 1e-6) -> LocalMetric:
         # can be non-finite; it is also symmetric
         diagonal = np.count_nonzero(hess) == np.count_nonzero(diag)
     if not np.isfinite(diag if diagonal else hess).all():
-        raise NonFiniteInputError("Hessian contains non-finite entries")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise NonFiniteInputError(NON_FINITE_HESSIAN)
+    check_floor(eps)
 
     if diagonal:
         eigvals, eigvecs = diag, None
@@ -200,17 +250,12 @@ def local_covariance(hess: np.ndarray, eps: float = 1e-6) -> LocalMetric:
             raise FactorizationError(f"Hessian is not symmetric (asymmetry {asym:.3e})")
         eigvals, eigvecs = np.linalg.eigh(0.5 * (hess + hess.T))
 
-    if eigvals.max() < -eps:  # -H strictly positive definite with margin eps
-        sigma_eigs = 1.0 / (-eigvals)
-        regularized = False
-    else:
-        sigma_eigs = 1.0 / np.maximum(np.abs(eigvals), EIG_FLOOR) + eps
-        regularized = True
-
+    sigma_eigs, regularized = _cov_eigvals(eigvals, eps)
     return LocalMetric(
         eigvals=sigma_eigs,
         eigvecs=eigvecs,
         regularized=regularized,
         # a copy, so that the caller may reuse its array
         log_det_order=diag.copy() if diagonal else None,
+        eps=eps,
     )

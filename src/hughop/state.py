@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .metric import LocalMetric
 from .targets import TargetModel
 
 __all__ = ["ChainState", "StepOutcome", "Kernel", "finish_step", "log_acceptance"]
@@ -15,20 +16,27 @@ __all__ = ["ChainState", "StepOutcome", "Kernel", "finish_step", "log_acceptance
 
 @dataclass
 class ChainState:
-    """Current position with cached log-density and (lazily) its gradient.
+    """Current position with cached log-density and, lazily, its gradient
+    and local metric.
 
-    Kernels read the caches instead of re-evaluating the target; the gradient
-    is filled in on first use so gradient-free kernels never pay for it.
+    Kernels read the caches instead of re-evaluating the target.  The
+    gradient and the metric are filled in on first use, so kernels that do
+    not need them never pay for them, and :func:`finish_step` passes on the
+    ones a kernel already computed at its proposal.
 
     The position is finite by construction: :meth:`at` validates it, and a
     kernel builds a new state only from a proposal it has checked.  So the
     target's trusted methods may be called on it, and ``logp`` and ``grad``
-    equal what the public methods return there.
+    equal what the public methods return there.  ``metric`` is ``None`` or
+    the :class:`~hughop.metric.LocalMetric` that ``local_covariance`` builds
+    from the Hessian there with the floor ``metric.eps``, its cache key.  A
+    state belongs to one target: the caches are never checked against it.
     """
 
     position: np.ndarray
     logp: float
     grad: np.ndarray | None = None
+    metric: LocalMetric | None = None
 
     @classmethod
     def at(cls, target: TargetModel, x, with_grad: bool = False) -> "ChainState":
@@ -42,6 +50,18 @@ class ChainState:
         if self.grad is None:
             self.grad = target._gradient(self.position)
         return self.grad
+
+    def ensure_metric(self, target: TargetModel, eps: float, build) -> LocalMetric:
+        """The local metric at the position for the floor ``eps``.
+
+        On a miss (no metric cached, or one built with another floor) it is
+        ``build(target._hessian(position), eps)``, the calling kernel's
+        ``local_covariance``, and is cached.  A ``build`` that raises leaves
+        the cache as it was.
+        """
+        if self.metric is None or self.metric.eps != eps:
+            self.metric = build(target._hessian(self.position), eps)
+        return self.metric
 
 
 @dataclass
@@ -90,18 +110,22 @@ def metropolis_accept(rng: np.random.Generator, log_alpha: float) -> bool:
 
 
 def finish_step(
-    rng, state: ChainState, log_ratio, proposal, logp=None, grad=None, **extras
+    rng, state: ChainState, log_ratio, proposal, logp=None, grad=None, metric=None, **extras
 ) -> tuple[ChainState, StepOutcome]:
-    """The Metropolis-Hastings finish that ends every kernel's step.
+    """The Metropolis-Hastings finish that ends every kernel's step, and the
+    one place where a kernel builds an accepted state.
 
     Caps ``log_ratio`` with :func:`log_acceptance` and draws one uniform
-    whatever it is.  The chain moves to ``proposal``, caching its
-    log-density ``logp`` and gradient ``grad``, only when the draw accepts
-    and ``logp`` is finite.  ``extras`` become the outcome's ``extras``.
+    whatever it is.  The chain moves to ``proposal`` only when the draw
+    accepts and ``logp`` is finite.  The new state caches the log-density
+    ``logp``, and the gradient ``grad`` and local metric ``metric`` when the
+    kernel computed them at ``proposal`` (``None`` otherwise); so a kernel
+    passes them only from a proposal it has checked.  ``extras`` become the
+    outcome's ``extras``.
     """
     log_alpha = log_acceptance(log_ratio)
     if metropolis_accept(rng, log_alpha) and math.isfinite(logp):
-        new_state = ChainState(position=proposal, logp=float(logp), grad=grad)
+        new_state = ChainState(proposal, float(logp), grad, metric)
         return new_state, StepOutcome(proposal, log_alpha, True, extras)
     return state, StepOutcome(proposal, log_alpha, False, extras)
 

@@ -92,19 +92,19 @@ class TargetModel(ABC):
       of length ``dim``, raise :class:`~hughop.exceptions.NonFiniteInputError`
       on a non-finite entry, and return a float, a (d,) gradient and a dense
       d x d Hessian.
-    * Private ``_log_density``, ``_gradient``, ``_value_and_grad`` and
-      ``_hessian`` trust their input to be a finite (d,) float array and do
-      no checking.  The kernels call them on states that are finite by
-      construction: the start was validated by ``ChainState.at`` and every
-      accepted proposal was checked.  ``_hessian`` may return the (d,)
+    * Private ``_log_density``, ``_gradient``, ``_value_and_grad``,
+      ``_hessian`` and ``_grad_and_hessian`` trust their input to be a
+      finite (d,) float array and do no checking.  The kernels call them on
+      states that are finite by construction: the start was validated by
+      ``ChainState.at`` and every accepted proposal was checked.  ``_hessian`` may return the (d,)
       vector of a diagonal Hessian instead of the matrix;
       :func:`~hughop.metric.local_covariance` accepts both.
 
     A subclass implements ``_log_density`` and ``_gradient``, and
-    ``_hessian`` where available.  ``_value_and_grad`` returns both values
-    and by default makes the two calls; a target whose two evaluations share
-    work overrides it, and then so must any subclass that overrides one of
-    the two.
+    ``_hessian`` where available.  ``_value_and_grad`` and
+    ``_grad_and_hessian`` each return two values and by default make the two
+    calls; a target whose two evaluations share work overrides the pair's
+    method, and then so must any subclass that overrides one of the two.
 
     Attributes:
         dim: Dimension of the state space.
@@ -157,6 +157,12 @@ class TargetModel(ABC):
 
     def _hessian(self, x: np.ndarray) -> np.ndarray:
         raise NoHessianError(f"{self.name}: Hessian not available")
+
+    def _grad_and_hessian(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(gradient, Hessian) at ``x``, the bits the two methods give, for
+        a Hessian hug bounce.  Raises :class:`NoHessianError` as
+        ``_hessian`` does."""
+        return self._gradient(x), self._hessian(x)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r}, dim={self.dim})"
@@ -226,7 +232,10 @@ class LogisticGaussian(_ScaledProductTarget):
         self._two_s = 2.0 * self.scales
         self._a_s = self.a * self.scales
         self._a_s_sq = self._a_s**2
-        self._two_s_sq = 2.0 * self.scales**2
+        # negated divisors: a / (-b) has the bits of -a / b, one pass fewer
+        self._neg_scales = -self.scales
+        self._neg_two_s_sq = -(2.0 * self.scales**2)
+        self._inv_a_s_sq = 1.0 / self._a_s_sq
 
     def _log_density(self, x):
         return self._value_from_u(x, x / self._two_s)
@@ -243,11 +252,17 @@ class LogisticGaussian(_ScaledProductTarget):
         return (-2.0 * _log_2cosh(u) - 0.5 * quad * quad).sum()
 
     def _gradient_from_u(self, x, u):
-        return -np.tanh(u) / self.scales - x / self._a_s_sq
+        return np.tanh(u) / self._neg_scales - x / self._a_s_sq
 
     def _hessian(self, x):
+        return self._hessian_from_u(x / self._two_s)
+
+    def _grad_and_hessian(self, x):
         u = x / self._two_s
-        return -_sech2(u) / self._two_s_sq - 1.0 / self._a_s_sq
+        return self._gradient_from_u(x, u), self._hessian_from_u(u)
+
+    def _hessian_from_u(self, u):
+        return _sech2(u) / self._neg_two_s_sq - self._inv_a_s_sq
 
 
 class QuarticGaussian(_ScaledProductTarget):
@@ -266,6 +281,7 @@ class QuarticGaussian(_ScaledProductTarget):
         self.a = float(a)
         self._a_s = self.a * self.scales
         self._a_s_sq = self._a_s**2
+        self._inv_a_s_sq = 1.0 / self._a_s_sq
         self._s4 = self.scales**4
 
     def _log_density(self, x):
@@ -277,7 +293,7 @@ class QuarticGaussian(_ScaledProductTarget):
         return -2.0 * x**3 / self._s4 - x / self._a_s_sq
 
     def _hessian(self, x):
-        return -6.0 * x * x / self._s4 - 1.0 / self._a_s_sq
+        return -6.0 * x * x / self._s4 - self._inv_a_s_sq
 
 
 class Banana2D(TargetModel):

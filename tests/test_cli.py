@@ -91,6 +91,12 @@ class TestRun:
             ("run", {"objective": "ess_per_fortnight"}, "objective"),
             ("run", {"grid": [1]}, "grid"),
             ("run", {"grid": {"kernels.0.T": []}}, "grid"),
+            ("run", {"kernels": [{"kernel": "hug", "mode": "hessian", "eps": 0}]},
+             "kernels[0].eps"),
+            ("run", {"kernels": [{"kernel": "hug"}, {"kernel": "hop", "hessian": True,
+                                                     "eps": -1}]}, "kernels[1].eps"),
+            ("run", {"kernels": [{"kernel": "rwm", "local_cov": "hessian", "eps": 0.0}]},
+             "kernels[0].eps"),
         ],
     )
     def test_malformed_value_is_config_error_naming_its_field(
@@ -230,6 +236,10 @@ class TestExperiments:
             ("hop-scaling", ["--kappas", "1,x"], "--kappas"),
             ("theorem2", ["--dim", "0"], "--dim"),
             ("theorem2", ["--lam", "-1"], "--lam"),
+            ("models", ["spatial", "--grid-rows", "0", "--iterations", "10"], "--grid-rows"),
+            ("models", ["spatial", "--grid-cols", "-2"], "--grid-cols"),
+            ("models", ["spatial", "--iterations", "-4"], "--iterations"),
+            ("models", ["cauchit", "--iterations", "0"], "--iterations"),
         ],
     )
     def test_bad_flag_is_config_error_naming_it(self, tmp_path, capsys, command, argv, flag):
@@ -240,6 +250,7 @@ class TestExperiments:
             "hop-scaling": ["--target", '{"target":"gauss","scales":"U"}', "--dims", "3",
                             "--lams", "1", "--kappas", "0.5", "--iters", "200"],
             "theorem2": ["--dim", "5", "--iters", "200"],
+            "models": [],
         }[command]
         code = main([command, *valid, *argv, "--out", str(tmp_path)])
         assert code == 1

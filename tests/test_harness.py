@@ -80,6 +80,30 @@ class TestConfig:
             make_kernel(spec, dim=3, where="kernels[0]")
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("eps", [0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kernel": "hug", "mode": "hessian"},
+            {"kernel": "hop", "hessian": True},
+            {"kernel": "rwm", "local_cov": "hessian"},
+        ],
+    )
+    def test_bad_metric_floor_is_config_error_naming_eps(self, spec, eps):
+        with pytest.raises(ConfigError) as info:
+            make_kernel({**spec, "eps": eps}, dim=3, where="kernels[2]")
+        assert info.value.field == "kernels[2].eps"
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-6, float("nan"), float("inf")])
+    def test_params_reject_a_bad_metric_floor(self, eps):
+        for build in (
+            lambda: HugParams(total_time=1.0, n_bounces=2, mode="hessian", eps=eps),
+            lambda: HopParams(lam=1.0, kappa=0.5, use_hessian=True, eps=eps),
+            lambda: RwmParams(step_scale=1.0, local_cov="hessian", eps=eps),
+        ):
+            with pytest.raises(ValueError, match="eps must be positive and finite"):
+                build()
+
     def test_kernel_registry_round_trip(self):
         for spec in (
             {"kernel": "hug", "T": 1.0, "B": 10, "mode": "hessian", "eps": 1e-6},

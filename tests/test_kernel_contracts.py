@@ -1,10 +1,14 @@
 """Contracts every shipped kernel keeps, whatever its mode.
 
 * A target's trusted ``_value_and_grad``, which the kernels call on
-  proposals, gives the bits of the public log-density and gradient.
+  proposals, gives the bits of the public log-density and gradient, and its
+  ``_grad_and_hessian``, which a Hessian hug bounce calls, the bits of the
+  trusted gradient and Hessian.
 * The chain state's caches agree exactly with the target: after every step
-  ``state.logp`` is the log-density at ``state.position`` and ``state.grad``
-  is either unset or the gradient there.
+  ``state.logp`` is the log-density at ``state.position``, ``state.grad``
+  is either unset or the gradient there, and ``state.metric`` is either
+  unset or the local metric there for its floor.  A Hessian hug step from a
+  state whose metric is cached gives the outcome of one from a fresh state.
 * A proposal whose log-density, gradient or Hessian is non-finite is
   rejected without raising, the state is kept, and the kernel logs the same
   warnings as it always has (none where the non-finite value is caught by a
@@ -16,7 +20,9 @@ import logging
 import numpy as np
 import pytest
 
+from hughop.exceptions import NoHessianError
 from hughop.harness import make_kernel
+from hughop.metric import local_covariance
 from hughop.models import (
     CauchitPosterior,
     RaschPosterior,
@@ -85,6 +91,41 @@ def test_value_and_grad_gives_the_bits_of_the_two_calls(name):
         np.testing.assert_array_equal(grad, target.gradient(x))
 
 
+class NoHessian(TargetModel):
+    """Standard normal without a Hessian."""
+
+    name = "no-hessian"
+    dim = 3
+
+    def _log_density(self, x):
+        return -0.5 * float(x @ x)
+
+    def _gradient(self, x):
+        return -x
+
+
+@pytest.mark.parametrize("name", [*TARGETS, "no-hessian"])
+def test_grad_and_hessian_gives_the_bits_of_the_two_calls(name):
+    rng = np.random.default_rng(32)
+    target = NoHessian() if name == "no-hessian" else TARGETS[name](rng)
+    for _ in range(5):
+        x = rng.standard_normal(target.dim)
+        try:
+            hess = target._hessian(x)
+        except NoHessianError:
+            with pytest.raises(NoHessianError):
+                target._grad_and_hessian(x)
+            continue
+        grad_both, hess_both = target._grad_and_hessian(x)
+        np.testing.assert_array_equal(grad_both, target._gradient(x))
+        np.testing.assert_array_equal(hess_both, hess)
+        assert hess_both.shape == hess.shape
+
+
+def _same_metric(cached, fresh) -> bool:
+    return np.array_equal(cached.eigvals, fresh.eigvals) and cached.log_det == fresh.log_det
+
+
 @pytest.mark.parametrize("name", list(TARGETS))
 def test_cached_state_matches_target_after_every_step(name):
     rng = np.random.default_rng(31)
@@ -92,7 +133,7 @@ def test_cached_state_matches_target_after_every_step(name):
     kernels = [make_kernel(spec, dim=target.dim, where=label)
                for label, spec in kernel_specs(target.dim).items()]
     state = ChainState.at(target, 0.3 * rng.standard_normal(target.dim))
-    accepted = 0
+    accepted = with_metric = 0
     for sweep in range(15):
         for kernel in kernels:
             state, outcome = kernel.step(target, state, rng)
@@ -101,6 +142,36 @@ def test_cached_state_matches_target_after_every_step(name):
             assert np.array_equal(state.logp, target.log_density(state.position)), where
             assert state.grad is None or np.array_equal(
                 state.grad, target.gradient(state.position)), where
+            if state.metric is not None:
+                with_metric += 1
+                fresh = local_covariance(target.hessian(state.position), state.metric.eps)
+                assert _same_metric(state.metric, fresh), where
+    assert accepted > 0
+    assert with_metric > 0
+
+
+@pytest.mark.parametrize("name", ["lg", "banana-embedded", "cauchit"])
+@pytest.mark.parametrize("eps", [1e-6, 1e-3])
+def test_hessian_hug_step_is_the_same_from_a_warm_and_a_cold_state(name, eps):
+    target = TARGETS[name](np.random.default_rng(33))
+    kernel = make_kernel({**kernel_specs(target.dim)["hug-hessian"], "eps": eps}, dim=target.dim)
+    rng = np.random.default_rng(34)
+    accepted = 0
+    for _ in range(10):
+        x = 0.3 * rng.standard_normal(target.dim)
+        cold = ChainState.at(target, x)
+        warm = ChainState.at(target, x)
+        warm.ensure_metric(target, eps, local_covariance)
+        seed = int(rng.integers(2**32))
+        cold_state, cold_outcome = kernel.step(target, cold, np.random.default_rng(seed))
+        warm_state, warm_outcome = kernel.step(target, warm, np.random.default_rng(seed))
+        np.testing.assert_array_equal(warm_outcome.proposal, cold_outcome.proposal)
+        assert warm_outcome.log_alpha == cold_outcome.log_alpha
+        assert warm_outcome.accepted == cold_outcome.accepted
+        accepted += cold_outcome.accepted
+        np.testing.assert_array_equal(warm_state.position, cold_state.position)
+        assert warm_state.logp == cold_state.logp
+        assert _same_metric(warm_state.metric, cold_state.metric)
     assert accepted > 0
 
 
