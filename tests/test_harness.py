@@ -491,3 +491,20 @@ def test_write_trace_without_positions(tmp_path):
     lines = (tmp_path / "t.csv").read_text().splitlines()
     assert lines[2] == "iteration,logpi,accept_hop"
     assert lines[3] == "0,-1,1"
+
+
+def test_write_trace_rows_match_per_field_formatting(tmp_path):
+    from hughop.diagnostics import Trace
+
+    rng = np.random.default_rng(5)
+    positions = rng.standard_normal((6, 3)) * 10.0 ** rng.integers(-300, 300, (6, 3))
+    positions[0] = [np.nan, np.inf, -0.0]
+    log_target = np.array([-np.inf, 1e-320, -2.5, 3.0, 0.1, -7e300])
+    accept = {"hug": rng.random(6) < 0.5, "hop": np.ones(6, dtype=bool)}
+    write_trace_csv(tmp_path / "t.csv", Trace(log_target, positions, accept), {"k": 1})
+    expected = [
+        ",".join([str(i), *(f"{v:.17g}" for v in positions[i]), f"{log_target[i]:.17g}",
+                  str(int(accept["hop"][i])), str(int(accept["hug"][i]))])
+        for i in range(6)
+    ]
+    assert (tmp_path / "t.csv").read_text().splitlines()[3:] == expected
