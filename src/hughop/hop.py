@@ -109,10 +109,10 @@ def _whitened_jump(g_t: np.ndarray, params: HopParams, rng: np.random.Generator)
     """Draw s * B^(1/2) z for a (whitened) gradient g_t.
 
     B^(1/2) = mu I + (lam - mu) ghat ghat' so the draw needs no matrices.
-    Here and in the density, vector dot products use ``ndarray.dot``, the
-    BLAS dot that ``@`` calls, with less call overhead.
     With a vanishing gradient the rank-one part is dropped, leaving an
-    isotropic mu-scaled jump; the density uses the same convention.
+    isotropic mu-scaled jump; the density uses the same convention.  Here
+    and in the density, vector dot products use ``ndarray.dot``, the BLAS
+    dot that ``@`` calls, with less call overhead.
     """
     gn2 = float(g_t.dot(g_t))
     s = math.sqrt(_guard_scale_sq(gn2, params.guard))
