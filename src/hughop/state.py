@@ -118,14 +118,13 @@ def finish_step(
     Caps ``log_ratio`` with :func:`log_acceptance` and draws one uniform
     whatever it is.  The chain moves to ``proposal`` only when the draw
     accepts and ``logp`` is finite.  The new state caches the log-density
-    ``logp``, and the gradient ``grad`` and local metric ``metric`` when the
-    kernel computed them at ``proposal`` (``None`` otherwise); so a kernel
-    passes them only from a proposal it has checked.  ``extras`` become the
-    outcome's ``extras``.
+    ``logp``, and the gradient ``grad`` and local metric ``metric`` that the
+    kernel computed at the checked ``proposal`` (``None`` when it did not).
+    ``extras`` become the outcome's ``extras``.
     """
     log_alpha = log_acceptance(log_ratio)
     if metropolis_accept(rng, log_alpha) and math.isfinite(logp):
-        new_state = ChainState(proposal, float(logp), grad, metric)
+        new_state = ChainState(position=proposal, logp=float(logp), grad=grad, metric=metric)
         return new_state, StepOutcome(proposal, log_alpha, True, extras)
     return state, StepOutcome(proposal, log_alpha, False, extras)
 
