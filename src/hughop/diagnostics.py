@@ -20,7 +20,7 @@ from numpy.fft import irfft, rfft
 
 from .exceptions import DegenerateSeriesError
 
-__all__ = ["ess", "ess_batch_means", "Trace", "RunSummary", "summarize_run"]
+__all__ = ["ess", "ess_batch_means", "Trace", "RunSummary", "min_finite", "summarize_run"]
 
 MIN_SERIES_LENGTH = 100
 
@@ -124,7 +124,8 @@ class Trace:
 
     ``positions`` may be None when a run records only the log-density
     (memory-saving mode).  ``accept`` maps kernel labels to per-iteration
-    acceptance flags.
+    acceptance flags; ``iterations`` counts the post burn-in sweeps run
+    (None: one per recorded row, as in an unthinned run).
     """
 
     log_target: np.ndarray
@@ -132,7 +133,7 @@ class Trace:
     accept: dict[str, np.ndarray] = field(default_factory=dict)
     wall_time: float = 0.0
     burn_in_fraction: float = 0.0
-    thin: int = 1
+    iterations: int | None = None
 
     @property
     def n_recorded(self) -> int:
@@ -153,17 +154,17 @@ class RunSummary:
     degenerate: bool = False
     notes: list[str] = field(default_factory=list)
 
+    def per_1000(self, value: float | None) -> float | None:
+        """``value`` per 1000 post burn-in iterations; None stays None."""
+        return None if value is None else 1000.0 * value / self.iterations
+
     @property
     def min_ess_x_per_1000(self) -> float | None:
-        if self.min_ess_x is None:
-            return None
-        return 1000.0 * self.min_ess_x / self.iterations
+        return self.per_1000(self.min_ess_x)
 
     @property
     def ess_logpi_per_1000(self) -> float | None:
-        if self.ess_logpi is None:
-            return None
-        return 1000.0 * self.ess_logpi / self.iterations
+        return self.per_1000(self.ess_logpi)
 
     @property
     def min_ess_x_per_sec(self) -> float | None:
@@ -195,13 +196,19 @@ class RunSummary:
         }
 
 
+def min_finite(values) -> float | None:
+    """The least finite entry of ``values``, or None when there is none."""
+    finite = [v for v in values if np.isfinite(v)]
+    return float(min(finite)) if finite else None
+
+
 def summarize_run(trace: Trace) -> RunSummary:
     """Compute the efficiency summary for a recorded trace.
 
     Degenerate series (an all-reject chain, a constant component) set the
     ``degenerate`` flag and leave the affected entries as None instead of
     raising.  ESS values refer to the recorded (post burn-in, thinned)
-    iterations.
+    iterations, and ``iterations`` to the post burn-in sweeps run.
     """
     n = trace.n_recorded
     if n == 0:
@@ -231,11 +238,10 @@ def summarize_run(trace: Trace) -> RunSummary:
                 degenerate = True
                 notes.append(f"component {j} degenerate: {exc}")
                 ess_x.append(np.nan)
-        finite = [v for v in ess_x if np.isfinite(v)]
-        min_ess_x = float(min(finite)) if finite else None
+        min_ess_x = min_finite(ess_x)
 
     return RunSummary(
-        iterations=n * max(1, int(trace.thin)),
+        iterations=n if trace.iterations is None else trace.iterations,
         wall_time=trace.wall_time,
         acceptance=acceptance,
         min_ess_x=min_ess_x,

@@ -34,7 +34,7 @@ from .exceptions import (
 )
 from .hop import HopKernel, HopParams, default_lam, hop_log_density, hop_propose
 from .hug import HugKernel, HugParams, hug_kernel_step, hug_trajectory
-from .state import ChainState
+from .state import ChainState, log_acceptance
 from .targets import TargetModel, make_target
 
 __all__ = [
@@ -364,7 +364,7 @@ def run_kernels(
         accept={k: v[:row] for k, v in accept.items()},
         wall_time=wall_time,
         burn_in_fraction=burn_in / iterations if iterations else 0.0,
-        thin=thin,
+        iterations=iterations - burn_in,
     )
     return trace, summarize_run(trace)
 
@@ -754,7 +754,7 @@ def theorem2_experiment(
             + hop_log_density(y, x, g_y, params)
             - hop_log_density(x, y, g_x, params)
         )
-    alphas = np.exp(np.minimum(0.0, log_r))
+    alphas = np.exp([log_acceptance(r) for r in log_r])
     limit = 2.0 * ndtr(-kappa / 2.0)
     return {
         "dim": int(dim),

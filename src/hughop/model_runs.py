@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import HmcKernel, HmcParams
-from .diagnostics import ess
-from .exceptions import DegenerateSeriesError
+from .diagnostics import RunSummary, Trace, min_finite, summarize_run
+from .diagnostics import ess  # noqa: F401  (benchmark tracers patch model_runs.ess by name)
 from .harness import grid_cells, run_kernels, tune_cells
 from .hop import HopKernel, HopParams
 from .hug import HugKernel, HugParams
@@ -202,24 +202,23 @@ def run_gibbs(
     rng: np.random.Generator,
     burn_in: int = 0,
     rwm_scale: float = 0.3,
-) -> dict:
-    """Run the Metropolis-within-Gibbs chain and collect traces.
+) -> tuple[Trace, RunSummary, float]:
+    """Run the Metropolis-within-Gibbs chain and record it as ``run_kernels`` does.
 
     During burn-in the theta random-walk scale adapts on a decaying schedule
-    towards an acceptance rate of 0.4, then freezes.  Returns the recorded
-    field and parameter traces plus per-block acceptance rates and the joint
-    log-density series.
+    towards an acceptance rate of 0.4, then freezes.  Returns the ``Trace``,
+    its ``summarize_run`` summary and the frozen scale.  Positions are the
+    whitened field then theta; ``log_target`` is the joint log-density, and
+    ``accept`` has one flag array per inner kernel name and ``"theta_rwm"``.
     """
     sampler = GibbsSampler(model, inner_kernels, rwm_scale=rwm_scale)
     state = sampler.init_state()
     n_rec = sweeps - burn_in
-    fields = np.empty((n_rec, model.field_dim))
-    thetas = np.empty((n_rec, 2))
-    logpi = np.empty(n_rec)
+    positions = np.empty((n_rec, model.total_dim))
+    log_target = np.empty(n_rec)
     accept: dict[str, np.ndarray] = {}
     start = time.perf_counter()
 
-    row = 0
     for sweep in range(sweeps):
         state, info = sampler.step(state, rng)
         if sweep < burn_in and sampler.rwm_scale > 0:
@@ -227,49 +226,40 @@ def run_gibbs(
             step = 0.5 / (1.0 + sweep) ** 0.6
             sampler.rwm_scale *= float(np.exp(step * (float(info["theta_rwm"]) - 0.4)))
         if sweep >= burn_in:
-            fields[row] = state.field_state.position
-            thetas[row] = state.theta
-            logpi[row] = model.joint_log_density(
-                state.theta, state.field_state.position, state.a
-            )
+            row, z = sweep - burn_in, state.field_state.position
+            positions[row, : model.field_dim] = z
+            positions[row, model.field_dim :] = state.theta
+            log_target[row] = model.joint_log_density(state.theta, z, state.a)
             for key, flag in info.items():
                 accept.setdefault(key, np.zeros(n_rec, dtype=bool))[row] = flag
-            row += 1
     wall_time = time.perf_counter() - start
 
+    trace = Trace(
+        log_target=log_target,
+        positions=positions,
+        accept=accept,
+        wall_time=wall_time,
+        burn_in_fraction=burn_in / sweeps if sweeps else 0.0,
+        iterations=n_rec,
+    )
+    return trace, summarize_run(trace), sampler.rwm_scale
+
+
+def _gibbs_block(summary: RunSummary, field_dim: int, rwm_scale: float) -> dict:
+    """A spatial report block: ``summary`` with ESS(X) split into the field
+    (the first ``field_dim`` components) and theta."""
+    min_field = min_finite(summary.ess_x[:field_dim])
+    min_theta = min_finite(summary.ess_x[field_dim:])
     return {
-        "fields": fields,
-        "thetas": thetas,
-        "logpi": logpi,
-        "accept": {k: v for k, v in accept.items()},
-        "wall_time": wall_time,
-        "rwm_scale": sampler.rwm_scale,
-    }
-
-
-def _summarise_gibbs(run: dict, sweeps_recorded: int) -> dict:
-    def _safe_ess(series):
-        try:
-            return ess(series)
-        except DegenerateSeriesError:
-            return None
-
-    ess_field = [_safe_ess(run["fields"][:, j]) for j in range(run["fields"].shape[1])]
-    ess_theta = [_safe_ess(run["thetas"][:, j]) for j in range(2)]
-    ess_logpi = _safe_ess(run["logpi"])
-    finite_f = [v for v in ess_field if v]
-    finite_t = [v for v in ess_theta if v]
-    per_1000 = lambda v: None if v is None else 1000.0 * v / sweeps_recorded
-    return {
-        "acceptance": {k: float(np.mean(v)) for k, v in run["accept"].items()},
-        "min_ess_field": min(finite_f) if finite_f else None,
-        "min_ess_theta": min(finite_t) if finite_t else None,
-        "ess_logpi": ess_logpi,
-        "min_ess_field_per_1000": per_1000(min(finite_f) if finite_f else None),
-        "min_ess_theta_per_1000": per_1000(min(finite_t) if finite_t else None),
-        "ess_logpi_per_1000": per_1000(ess_logpi),
-        "wall_time": run["wall_time"],
-        "theta_rwm_scale": run["rwm_scale"],
+        "acceptance": summary.acceptance,
+        "min_ess_field": min_field,
+        "min_ess_theta": min_theta,
+        "ess_logpi": summary.ess_logpi,
+        "min_ess_field_per_1000": summary.per_1000(min_field),
+        "min_ess_theta_per_1000": summary.per_1000(min_theta),
+        "ess_logpi_per_1000": summary.ess_logpi_per_1000,
+        "wall_time": summary.wall_time,
+        "theta_rwm_scale": rwm_scale,
     }
 
 
@@ -296,13 +286,12 @@ def run_spatial_comparison(
     ]
     hmc = [HmcKernel(HmcParams(n_steps=9, step_size=0.12))]
 
-    run_hh = run_gibbs(
-        model, hug_hop, sweeps, np.random.default_rng(seeds[1]), burn_in=burn_in
-    )
-    run_hmc = run_gibbs(
-        model, hmc, sweeps, np.random.default_rng(seeds[2]), burn_in=burn_in
-    )
-    recorded = sweeps - burn_in
+    blocks = {}
+    for name, inner, stream in (("hug_hop", hug_hop, seeds[1]), ("hmc", hmc, seeds[2])):
+        _, summary, scale = run_gibbs(
+            model, inner, sweeps, np.random.default_rng(stream), burn_in=burn_in
+        )
+        blocks[name] = _gibbs_block(summary, model.field_dim, scale)
 
     report = {
         "model": "spatial",
@@ -312,8 +301,7 @@ def run_spatial_comparison(
             "total_dim": model.total_dim,
         },
         "true_theta": {"rho": rho, "psi": psi},
-        "hug_hop": _summarise_gibbs(run_hh, recorded),
-        "hmc": _summarise_gibbs(run_hmc, recorded),
+        **blocks,
     }
     _write_outputs(out_dir, "spatial", data, seed, report)
     return report

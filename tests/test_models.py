@@ -8,6 +8,7 @@ from hughop.baselines import HmcKernel, HmcParams
 from hughop.exceptions import FactorizationError
 from hughop.hop import HopKernel, HopParams
 from hughop.hug import HugKernel, HugParams
+from hughop.model_runs import _gibbs_block, run_gibbs
 from hughop.models import (
     CauchitPosterior,
     GibbsSampler,
@@ -276,9 +277,7 @@ class TestGibbs:
             rng = np.random.default_rng(1000 + rep)
             data = simulate_spatial(8, 8, np.log(2.0), np.log(0.2), 1.0, rng)
             model = SpatialProbitModel(data)
-            from hughop.model_runs import run_gibbs
-
-            run = run_gibbs(
+            trace, _, _ = run_gibbs(
                 model,
                 inner_hug_hop(),
                 sweeps=8_000,
@@ -286,9 +285,63 @@ class TestGibbs:
                 burn_in=3_000,
                 rwm_scale=0.5,
             )
-            lo, hi = np.percentile(run["thetas"][:, 0], [2.5, 97.5])
+            lo, hi = np.percentile(trace.positions[:, model.field_dim], [2.5, 97.5])
             covered += lo <= np.log(2.0) <= hi
         assert covered >= 8
+
+
+class TestGibbsRecord:
+    """``run_gibbs`` records its chain as a ``Trace`` with its summary."""
+
+    def _run(self, rwm_scale=0.4, sweeps=300):
+        rng = np.random.default_rng(31)
+        model = SpatialProbitModel(simulate_spatial(3, 3, np.log(2.0), np.log(0.2), 1.0, rng))
+        return model, run_gibbs(model, inner_hug_hop(), sweeps, rng, rwm_scale=rwm_scale)
+
+    def test_positions_are_field_then_theta(self):
+        model, (trace, summary, _) = self._run()
+        rng = np.random.default_rng(31)
+        simulate_spatial(3, 3, np.log(2.0), np.log(0.2), 1.0, rng)
+        sampler = GibbsSampler(model, inner_hug_hop(), rwm_scale=0.4)
+        state = sampler.init_state()
+        assert trace.positions.shape == (300, model.total_dim)
+        for row in trace.positions:
+            state, _ = sampler.step(state, rng)
+            np.testing.assert_array_equal(row[: model.field_dim], state.field_state.position)
+            np.testing.assert_array_equal(row[model.field_dim :], state.theta)
+        assert summary.iterations == 300
+        assert len(summary.ess_x) == model.total_dim
+
+    def test_log_target_is_joint_log_density(self):
+        model, (trace, _, _) = self._run()
+        for row, logpi in zip(trace.positions, trace.log_target):
+            z, theta = row[: model.field_dim], row[model.field_dim :]
+            _, a, _ = model.covariance(theta)
+            assert logpi == pytest.approx(model.joint_log_density(theta, z, a), rel=1e-12)
+
+    def test_accept_has_one_flag_array_per_block(self):
+        _, (trace, summary, _) = self._run()
+        assert list(trace.accept) == ["hug", "hop", "theta_rwm"]
+        assert list(summary.acceptance) == ["hug", "hop", "theta_rwm"]
+        assert all(flags.shape == (300,) for flags in trace.accept.values())
+
+    def test_fixed_theta_reports_no_theta_ess(self):
+        model, (trace, summary, scale) = self._run(rwm_scale=0.0)
+        np.testing.assert_array_equal(trace.positions[:, model.field_dim :], 0.0)
+        block = _gibbs_block(summary, model.field_dim, scale)
+        assert set(block) == {
+            "acceptance", "min_ess_field", "min_ess_theta", "ess_logpi",
+            "min_ess_field_per_1000", "min_ess_theta_per_1000", "ess_logpi_per_1000",
+            "wall_time", "theta_rwm_scale",
+        }
+        assert block["min_ess_theta"] is None
+        assert block["min_ess_theta_per_1000"] is None
+        assert np.isfinite(block["min_ess_field"])
+        assert block["min_ess_field_per_1000"] == pytest.approx(
+            1000.0 * block["min_ess_field"] / 300
+        )
+        assert block["acceptance"]["theta_rwm"] == 0.0
+        assert block["theta_rwm_scale"] == 0.0
 
 
 class TestDatasetFiles:

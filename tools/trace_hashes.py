@@ -178,9 +178,11 @@ def _gibbs_hashes() -> dict:
     }
     hashes = {}
     for (name, kernels), seed in zip(inner.items(), seeds[1:]):
-        run = run_gibbs(model, kernels, 200, np.random.default_rng(seed), burn_in=100)
-        accepts = [run["accept"][key] for key in sorted(run["accept"])]
-        hashes[name] = _digest(run["logpi"], run["fields"], run["thetas"], *accepts)
+        trace, _, _ = run_gibbs(model, kernels, 200, np.random.default_rng(seed), burn_in=100)
+        accepts = [trace.accept[key] for key in sorted(trace.accept)]
+        # the manifest hashes the field's bytes, then theta's
+        field, theta = np.hsplit(trace.positions, [model.field_dim])
+        hashes[name] = _digest(trace.log_target, field, theta, *accepts)
     return hashes
 
 
