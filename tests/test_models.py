@@ -294,14 +294,16 @@ class TestGibbsRecord:
     """``run_gibbs`` records its chain as a ``Trace`` with its summary."""
 
     def _run(self, rwm_scale=0.4, sweeps=300):
+        data = simulate_spatial(3, 3, np.log(2.0), np.log(0.2), 1.0, np.random.default_rng(30))
+        model = SpatialProbitModel(data)
         rng = np.random.default_rng(31)
-        model = SpatialProbitModel(simulate_spatial(3, 3, np.log(2.0), np.log(0.2), 1.0, rng))
         return model, run_gibbs(model, inner_hug_hop(), sweeps, rng, rwm_scale=rwm_scale)
 
     def test_positions_are_field_then_theta(self):
+        # no burn-in, so the scale never adapts and a bare sampler on the
+        # same stream takes the same sweeps
         model, (trace, summary, _) = self._run()
         rng = np.random.default_rng(31)
-        simulate_spatial(3, 3, np.log(2.0), np.log(0.2), 1.0, rng)
         sampler = GibbsSampler(model, inner_hug_hop(), rwm_scale=0.4)
         state = sampler.init_state()
         assert trace.positions.shape == (300, model.total_dim)
