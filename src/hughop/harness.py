@@ -102,8 +102,6 @@ def _hug_from_spec(spec: dict, where: str) -> HugKernel:
     )
     if "precond_cov" in spec:
         kwargs["precond_cov"] = np.asarray(spec.pop("precond_cov"), dtype=float)
-    if "zero_grad_tol" in spec:
-        kwargs["zero_grad_tol"] = _number(spec.pop("zero_grad_tol"), f"{where}.zero_grad_tol")
     return HugKernel(HugParams(**kwargs))
 
 
@@ -205,7 +203,6 @@ class ExperimentConfig:
     out: str | None = None
     grid: dict | None = None
     pilot_iterations: int = 10_000
-    pilot_burn_fraction: float = 0.2
     objective: str = "ess_per_second"
 
     def __post_init__(self):
@@ -233,9 +230,6 @@ class ExperimentConfig:
         self.pilot_iterations = _integer(self.pilot_iterations, "pilot_iterations")
         if self.pilot_iterations < 1:
             raise ConfigError("pilot_iterations", "must be positive")
-        self.pilot_burn_fraction = _number(self.pilot_burn_fraction, "pilot_burn_fraction")
-        if not 0.0 <= self.pilot_burn_fraction < 1.0:
-            raise ConfigError("pilot_burn_fraction", "must lie in [0, 1)")
         if self.objective not in OBJECTIVES:
             raise ConfigError("objective", f"unknown objective {self.objective!r}")
         if self.grid is not None:
@@ -265,7 +259,6 @@ class ExperimentConfig:
             "out": self.out,
             "grid": self.grid,
             "pilot_iterations": int(self.pilot_iterations),
-            "pilot_burn_fraction": float(self.pilot_burn_fraction),
             "objective": self.objective,
         }
 
@@ -525,7 +518,7 @@ def _pilot_config(config: ExperimentConfig, cell: dict) -> ExperimentConfig:
         set_by_path(raw, path, value)
     raw.update(
         iterations=int(config.pilot_iterations),
-        burn_in=int(config.pilot_iterations * config.pilot_burn_fraction),
+        burn_in=config.pilot_iterations // 5,
         grid=None,
         out=None,
     )
@@ -538,7 +531,8 @@ def grid_tune(config: ExperimentConfig, objective=None) -> TuneResult:
     ``config.grid`` maps dotted paths into the config (see
     :func:`set_by_path`) to value lists.  Each cell's pilot is the config
     with the cell's values set, ``pilot_iterations`` sweeps of which the
-    first ``pilot_burn_fraction`` are discarded, run by :func:`run_chain`.
+    first fifth (``pilot_iterations // 5``) is discarded, run by
+    :func:`run_chain`.
     ``objective`` defaults to ``config.objective``.  A path that does not
     resolve, or a cell config that fails validation, raises before any
     pilot runs.
@@ -565,7 +559,6 @@ def hug_efficiency_experiment(
     n_reps: int,
     seed: int = 0,
     mode: str = "plain",
-    eps: float = 1e-6,
 ) -> list[dict]:
     """Proposal-quality sweep over (bounce count, integration time).
 
@@ -592,7 +585,6 @@ def hug_efficiency_experiment(
                 total_time=float(total_time),
                 n_bounces=int(n_bounces),
                 mode=mode,
-                eps=eps,
                 velocity="isotropic",
             )
             alphas = np.empty(n_reps)
@@ -672,12 +664,13 @@ def hop_scaling_experiment(
     kappa_grid,
     iterations: int,
     seed: int = 0,
-    burn_fraction: float = 0.2,
 ) -> list[dict]:
     """ESS(log pi) of hop-only chains over (dim, lambda, kappa).
 
-    ``target_template`` is a target spec without the ``dim`` entry.  Returns
-    one row per cell; degenerate cells carry a note instead of an ESS.
+    ``target_template`` is a target spec without the ``dim`` entry.  Each
+    chain runs ``iterations`` sweeps and discards the first fifth
+    (``iterations // 5``).  Returns one row per cell; degenerate cells
+    carry a note instead of an ESS.
     """
     rows = []
     combos = list(product(dims, lam_grid, kappa_grid))
@@ -687,7 +680,7 @@ def hop_scaling_experiment(
             target={**target_template, "dim": int(dim)},
             kernels=[{"kernel": "hop", "lambda": float(lam), "kappa": float(kappa)}],
             iterations=int(iterations),
-            burn_in=int(iterations * burn_fraction),
+            burn_in=int(iterations) // 5,
             record="logpi",
             seed=seeds[cell_index],
         )

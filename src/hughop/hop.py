@@ -25,7 +25,7 @@ import numpy as np
 
 from .exceptions import FactorizationError, NonFiniteInputError, ZeroGradientError
 from .metric import LocalMetric, check_floor, local_covariance
-from .state import ChainState, Kernel, StepOutcome, finish_step
+from .state import ZERO_GRAD_TOL, ChainState, Kernel, StepOutcome, finish_step
 from .targets import TargetModel
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 GUARDS = ("raw", "plus1")
-ZERO_GRAD_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .exceptions import FactorizationError, HugHopError, NonFiniteInputError, TrajectoryError
 from .metric import LocalMetric, check_floor, checked_factor, diagonal_cov_dot, local_covariance
-from .state import ChainState, Kernel, StepOutcome, finish_step
+from .state import ZERO_GRAD_TOL, ChainState, Kernel, StepOutcome, finish_step
 from .targets import TargetModel
 
 __all__ = [
@@ -51,6 +51,10 @@ MODES = ("plain", "precond", "hessian")
 class HugParams:
     """Tuning parameters for the hug kernel.
 
+    A bounce leaves the velocity unreflected where the gradient norm (g' S g
+    in a metric mode) is at or below ``state.ZERO_GRAD_TOL``, which keeps
+    the bounce map an involution.
+
     Attributes:
         total_time: trajectory duration; the proposal travels roughly
             ``total_time * ||v||``.
@@ -62,9 +66,6 @@ class HugParams:
             finite and positive.
         velocity: ``local`` draws the velocity from the local covariance,
             ``isotropic`` from N(0, I) (``hessian`` mode only).
-        zero_grad_tol: gradient norms at or below this leave the velocity
-            unreflected, keeping the bounce map an involution where the
-            reflection direction is undefined.
         precond_factor: the factor of ``precond_cov`` (see
             :func:`~hughop.metric.checked_factor`), computed once at
             construction; not an argument.
@@ -76,7 +77,6 @@ class HugParams:
     precond_cov: np.ndarray | None = None
     eps: float = 1e-6
     velocity: str = "local"
-    zero_grad_tol: float = 1e-12
     precond_factor: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -112,11 +112,11 @@ class HugTrajectory:
     zero_grad_bounces: int = 0
 
 
-def reflect(v: np.ndarray, g: np.ndarray, zero_grad_tol: float = 1e-12) -> np.ndarray:
+def reflect(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Reflect ``v`` in the hyperplane orthogonal to ``g``.
 
     Returns v - 2 (v . ghat) ghat with ghat the unit gradient.  A gradient
-    norm at or below ``zero_grad_tol`` returns ``v`` unchanged.
+    norm at or below ``state.ZERO_GRAD_TOL`` returns ``v`` unchanged.
     """
     v = np.asarray(v, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -124,15 +124,15 @@ def reflect(v: np.ndarray, g: np.ndarray, zero_grad_tol: float = 1e-12) -> np.nd
         raise ValueError(f"shape mismatch: v {v.shape} vs g {g.shape}")
     if not (np.isfinite(v).all() and np.isfinite(g).all()):
         raise NonFiniteInputError("reflect: non-finite input")
-    return _reflect(v.copy(), g, math.sqrt(g @ g), zero_grad_tol)
+    return _reflect(v.copy(), g, math.sqrt(g @ g))
 
 
-def _reflect(v: np.ndarray, g: np.ndarray, norm_g: float, zero_grad_tol: float) -> np.ndarray:
+def _reflect(v: np.ndarray, g: np.ndarray, norm_g: float) -> np.ndarray:
     """:func:`reflect` without its checks, given ``norm_g`` = sqrt(g . g).
 
     A NaN ``norm_g`` reflects, and so gives a NaN velocity.
     """
-    if norm_g <= zero_grad_tol:
+    if norm_g <= ZERO_GRAD_TOL:
         return v
     ghat = g / norm_g
     return v - 2.0 * v.dot(ghat) * ghat
@@ -142,33 +142,32 @@ def reflect_in_metric(
     v: np.ndarray,
     g: np.ndarray,
     sigma: np.ndarray | LocalMetric,
-    zero_grad_tol: float = 1e-12,
 ) -> np.ndarray:
     """Reflection reshaped by an SPD covariance: v - 2 (v.g)/(g' S g) S g.
 
     Equivalent to whitening with any factor of ``sigma``, reflecting, and
     mapping back.  ``sigma`` is a dense matrix or a :class:`LocalMetric`,
     whose S g comes from its spectral form.  A quadratic form g' S g at or
-    below ``zero_grad_tol`` falls back to the identity.
+    below ``state.ZERO_GRAD_TOL`` falls back to the identity.
     """
     v = np.asarray(v, dtype=float)
     g = np.asarray(g, dtype=float)
     if not (np.isfinite(v).all() and np.isfinite(g).all()):
         raise NonFiniteInputError("reflect_in_metric: non-finite input")
     sg = sigma.cov_dot(g) if isinstance(sigma, LocalMetric) else sigma @ g
-    return _reflect_in_metric(v.copy(), g, sg, zero_grad_tol)
+    return _reflect_in_metric(v.copy(), g, sg, g.dot(sg))
 
 
 def _reflect_in_metric(
-    v: np.ndarray, g: np.ndarray, sg: np.ndarray, zero_grad_tol: float
+    v: np.ndarray, g: np.ndarray, sg: np.ndarray, denom: float
 ) -> np.ndarray:
-    """:func:`reflect_in_metric` without its checks, given ``sg`` = S g.
+    """:func:`reflect_in_metric` without its checks, given ``sg`` = S g and
+    ``denom`` = g . sg.
 
     A non-finite quadratic form falls back to the identity, so the caller
     must already know that ``g`` is finite.
     """
-    denom = g.dot(sg)
-    if not math.isfinite(denom) or denom <= zero_grad_tol:
+    if not math.isfinite(denom) or denom <= ZERO_GRAD_TOL:
         return v
     return v - (2.0 * v.dot(g) / denom) * sg
 
@@ -196,7 +195,6 @@ def _bounce_loop(
     ``ndarray.dot``, the BLAS dot that ``@`` calls, with less call overhead.
     """
     half = 0.5 * params.step
-    tol = params.zero_grad_tol
     mode = params.mode
     zero_grad = 0
     half_v = half * v  # the drift of the half-steps on either side of a bounce
@@ -211,10 +209,9 @@ def _bounce_loop(
         norm_g = math.sqrt(g.dot(g))
         if (checked or not math.isfinite(norm_g)) and not np.isfinite(g).all():
             raise TrajectoryError("non-finite gradient at bounce point", b)
-        if norm_g <= tol:
-            zero_grad += 1
         if mode == "plain":
-            v = _reflect(v, g, norm_g, tol)
+            size = norm_g  # what the zero-gradient test reads
+            v = _reflect(v, g, size)
         else:
             if mode == "precond":
                 sg = params.precond_cov @ g
@@ -222,7 +219,10 @@ def _bounce_loop(
                 sg = diagonal_cov_dot(h, g, params.eps)
             else:
                 sg = local_covariance(h, params.eps).cov_dot(g)
-            v = _reflect_in_metric(v, g, sg, tol)
+            size = g.dot(sg)
+            v = _reflect_in_metric(v, g, sg, size)
+        if size <= ZERO_GRAD_TOL:
+            zero_grad += 1
         if checked and not np.isfinite(v).all():
             raise TrajectoryError("non-finite velocity after bounce", b)
         half_v = half * v
@@ -332,9 +332,9 @@ def hug_kernel_step(
     trajectory are treated as log alpha = -inf: the failure set is symmetric
     under the skew-reversal, so rejecting preserves detailed balance.  A
     failed step proposes the start.  The outcome's
-    ``extras["zero_grad_bounces"]`` counts the bounces that met a zero
-    gradient.  In hessian mode with a local velocity, an accepted move
-    caches the metric built at its endpoint in the new state.
+    ``extras["zero_grad_bounces"]`` counts the bounces left unreflected
+    (see :class:`HugParams`).  In hessian mode with a local velocity, an
+    accepted move caches the metric built at its endpoint in the new state.
     """
     x0 = state.position
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

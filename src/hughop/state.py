@@ -13,6 +13,10 @@ from .targets import TargetModel
 
 __all__ = ["ChainState", "StepOutcome", "Kernel", "finish_step", "log_acceptance"]
 
+# Where a gradient counts as zero: hug leaves the velocity unreflected and hop
+# drops the along-gradient part of its jump.
+ZERO_GRAD_TOL = 1e-12
+
 
 @dataclass
 class ChainState:
@@ -74,7 +78,8 @@ class StepOutcome:
     for a failed proposal, ``accepted`` whether the chain moved, and
     :attr:`alpha` the acceptance probability.  ``extras`` holds per-kernel
     values: ``energy_error`` for HMC, ``zero_grad_bounces`` (the bounces
-    that met a zero gradient, 0 on a failed step) for hug.
+    left unreflected at a gradient, or g' S g, at or below
+    ``ZERO_GRAD_TOL``; 0 on a failed step) for hug.
     """
 
     proposal: np.ndarray

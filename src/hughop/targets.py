@@ -175,16 +175,6 @@ class _ScaledProductTarget(TargetModel):
         self.scales = _resolve_scales(scales, dim)
         self.dim = self.scales.size
 
-    @classmethod
-    def unit(cls, dim: int, **kwargs):
-        """Construct with the U preset (all scales 1)."""
-        return cls(scales=unit_scales(dim), **kwargs)
-
-    @classmethod
-    def linear(cls, dim: int, **kwargs):
-        """Construct with the L preset (scales d, d-1, ..., 1)."""
-        return cls(scales=linear_scales(dim), **kwargs)
-
 
 class GaussianDiag(_ScaledProductTarget):
     """Centred Gaussian with diagonal covariance diag(scales^2).

@@ -45,10 +45,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="target"):
             ExperimentConfig.from_dict({"kernels": [], "iterations": 10})
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="iters"):
+    @pytest.mark.parametrize("key", ["iters", "pilot_burn_fraction"])
+    def test_unknown_key_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"^{key}: unknown configuration key$"):
             ExperimentConfig.from_dict(
-                {"target": {}, "kernels": [{}], "iterations": 10, "iters": 5}
+                {"target": {}, "kernels": [{}], "iterations": 10, key: 0.2}
             )
 
     def test_field_level_messages(self):
@@ -73,6 +74,10 @@ class TestConfig:
             ({"kernel": "hug", "T": -1.0}, "kernels[0]: total_time must be nonnegative"),
             ({"kernel": "hop", "kappa": -1}, "kernels[0]: kappa must be positive"),
             ({"kernel": "nope"}, "kernels[0]: unknown kernel 'nope'"),
+            (
+                {"kernel": "hug", "zero_grad_tol": 1e-9},
+                "kernels[0]: unknown parameters for kernel 'hug': ['zero_grad_tol']",
+            ),
         ],
     )
     def test_kernel_error_has_one_prefix(self, spec, message):

@@ -254,6 +254,27 @@ class TestHugTrajectory:
             hug_trajectory(Wall(1.0, dim=2), [0.0, 0.0], [1.0, 0.0], params)
         assert info.value.step_index == 4
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            HugParams(1.0, 1, mode="precond", precond_cov=np.eye(3)),
+            HugParams(1.0, 1, mode="hessian"),
+        ],
+        ids=["precond", "hessian"],
+    )
+    def test_unreflected_metric_bounce_is_counted(self, params):
+        # the bounce point is 5e-8 (1, 1, 1): plain hug reflects off a
+        # gradient of norm 8.7e-8, but g' S g = 7.5e-15 leaves v unreflected
+        target = GaussianDiag(1.0, dim=3)
+        x0, v0 = np.zeros(3), np.full(3, 1e-7)
+        fwd = hug_trajectory(target, x0, v0, params)
+        np.testing.assert_array_equal(fwd.v, v0)
+        assert fwd.zero_grad_bounces == 1
+        back = hug_trajectory(target, fwd.x, -fwd.v, params)
+        np.testing.assert_array_equal(back.x, x0)
+        np.testing.assert_array_equal(back.v, -v0)
+        assert back.zero_grad_bounces == 1
+
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -236,7 +236,7 @@ class TestValidationAndRegistry:
     def test_scale_presets(self):
         np.testing.assert_array_equal(unit_scales(4), np.ones(4))
         np.testing.assert_array_equal(linear_scales(4), [4.0, 3.0, 2.0, 1.0])
-        t = LogisticGaussian.linear(5, a=5.0)
+        t = LogisticGaussian(a=5.0, scales=linear_scales(5))
         np.testing.assert_array_equal(t.scales, [5.0, 4.0, 3.0, 2.0, 1.0])
 
     def test_make_target_from_spec(self):
