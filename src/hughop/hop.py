@@ -25,7 +25,7 @@ import numpy as np
 
 from .exceptions import FactorizationError, NonFiniteInputError, ZeroGradientError
 from .metric import LocalMetric, check_floor, local_covariance
-from .state import ZERO_GRAD_TOL, ChainState, Kernel, StepOutcome, finish_step
+from .state import ZERO_GRAD_TOL, ChainState, Kernel, StepOutcome, all_finite, finish_step
 from .targets import TargetModel
 
 __all__ = [
@@ -119,7 +119,7 @@ def _whitened_jump(g_t: np.ndarray, params: HopParams, rng: np.random.Generator)
     if gn2 <= ZERO_GRAD_TOL**2:
         return s * params.mu * z
     ghat = g_t / math.sqrt(gn2)
-    return s * (params.mu * z + (params.lam - params.mu) * ghat * ghat.dot(z))
+    return s * (params.mu * z + (params.lam - params.mu) * ghat * float(ghat.dot(z)))
 
 
 def _whitened_log_density(
@@ -237,9 +237,9 @@ def hop_kernel_step(
                 else None
             )
             y = hop_propose(x, g_x, params, rng, metric_x)
-            if np.isfinite(y).all():
+            if all_finite(y):
                 y_logp, y_grad = target._value_and_grad(y)
-                if np.isfinite(y_logp) and np.isfinite(y_grad).all():
+                if math.isfinite(y_logp) and all_finite(y_grad):
                     metric_y = (
                         local_covariance(target._hessian(y), params.eps)
                         if params.use_hessian

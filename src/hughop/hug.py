@@ -29,7 +29,7 @@ import numpy as np
 
 from .exceptions import FactorizationError, HugHopError, NonFiniteInputError, TrajectoryError
 from .metric import LocalMetric, check_floor, checked_factor, diagonal_cov_dot, local_covariance
-from .state import ZERO_GRAD_TOL, ChainState, Kernel, StepOutcome, finish_step
+from .state import ZERO_GRAD_TOL, ChainState, Kernel, StepOutcome, all_finite, finish_step
 from .targets import TargetModel
 
 __all__ = [
@@ -135,7 +135,7 @@ def _reflect(v: np.ndarray, g: np.ndarray, norm_g: float) -> np.ndarray:
     if norm_g <= ZERO_GRAD_TOL:
         return v
     ghat = g / norm_g
-    return v - 2.0 * v.dot(ghat) * ghat
+    return v - 2.0 * float(v.dot(ghat)) * ghat
 
 
 def reflect_in_metric(
@@ -155,7 +155,7 @@ def reflect_in_metric(
     if not (np.isfinite(v).all() and np.isfinite(g).all()):
         raise NonFiniteInputError("reflect_in_metric: non-finite input")
     sg = sigma.cov_dot(g) if isinstance(sigma, LocalMetric) else sigma @ g
-    return _reflect_in_metric(v.copy(), g, sg, g.dot(sg))
+    return _reflect_in_metric(v.copy(), g, sg, float(g.dot(sg)))
 
 
 def _reflect_in_metric(
@@ -169,7 +169,7 @@ def _reflect_in_metric(
     """
     if not math.isfinite(denom) or denom <= ZERO_GRAD_TOL:
         return v
-    return v - (2.0 * v.dot(g) / denom) * sg
+    return v - (2.0 * float(v.dot(g)) / denom) * sg
 
 
 def _bounce_loop(
@@ -219,7 +219,7 @@ def _bounce_loop(
                 sg = diagonal_cov_dot(h, g, params.eps)
             else:
                 sg = local_covariance(h, params.eps).cov_dot(g)
-            size = g.dot(sg)
+            size = float(g.dot(sg))
             v = _reflect_in_metric(v, g, sg, size)
         if size <= ZERO_GRAD_TOL:
             zero_grad += 1
@@ -270,12 +270,12 @@ def _trajectory(
         return HugTrajectory(x=x.copy(), v=v)
     try:
         traj = _bounce_loop(target, x, v, params, checked=False)
-        if np.isfinite(traj.x).all() and np.isfinite(traj.v).all():
+        if all_finite(traj.x) and all_finite(traj.v):
             return traj
     except HugHopError:  # the checked replay raises what a per-step check would
         pass
     traj = _bounce_loop(target, x, v, params, checked=True)
-    if not np.isfinite(traj.x).all():
+    if not all_finite(traj.x):
         raise TrajectoryError("non-finite final position", params.n_bounces - 1)
     return traj
 
@@ -294,11 +294,11 @@ def _draw_velocity(
     """
     z = rng.standard_normal(state.position.size)
     if params.mode == "plain" or (params.mode == "hessian" and params.velocity == "isotropic"):
-        return z, -0.5 * float(z @ z)
+        return z, -0.5 * float(z.dot(z))
     if params.mode == "precond":
-        return params.precond_factor.T @ z, -0.5 * float(z @ z)
+        return params.precond_factor.T @ z, -0.5 * float(z.dot(z))
     metric = state.ensure_metric(target, params.eps, local_covariance)
-    return metric.unwhiten(z), -0.5 * float(z @ z) - 0.5 * metric.log_det
+    return metric.unwhiten(z), -0.5 * float(z.dot(z)) - 0.5 * metric.log_det
 
 
 def _velocity_log_density(
@@ -310,10 +310,10 @@ def _velocity_log_density(
     """log q(v|x) under the mode's velocity distribution (constants dropped),
     and the local metric at x when the distribution uses one."""
     if params.mode == "plain" or (params.mode == "hessian" and params.velocity == "isotropic"):
-        return -0.5 * float(v @ v), None
+        return -0.5 * float(v.dot(v)), None
     if params.mode == "precond":
         w = np.linalg.solve(params.precond_factor.T, v)
-        return -0.5 * float(w @ w), None
+        return -0.5 * float(w.dot(w)), None
     metric = local_covariance(target._hessian(x), params.eps)
     return -0.5 * metric.quad_inv(v) - 0.5 * metric.log_det, metric
 

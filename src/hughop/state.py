@@ -11,11 +11,26 @@ import numpy as np
 from .metric import LocalMetric
 from .targets import TargetModel
 
-__all__ = ["ChainState", "StepOutcome", "Kernel", "finish_step", "log_acceptance"]
+__all__ = [
+    "ChainState", "StepOutcome", "Kernel", "finish_step", "log_acceptance", "all_finite",
+]
 
 # Where a gradient counts as zero: hug leaves the velocity unreflected and hop
 # drops the along-gradient part of its jump.
 ZERO_GRAD_TOL = 1e-12
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()`` for a 1-d float array, mostly at the cost of
+    one dot product.
+
+    Exact: a finite a . a means every entry is finite, since a NaN or an
+    infinite entry makes the sum of squares NaN or infinite.  A non-finite
+    a . a, from such an entry or from finite entries whose squares overflow,
+    falls through to the entry-by-entry test.  Squares that overflow set
+    numpy's overflow flag, which the kernels' ``errstate`` ignores.
+    """
+    return math.isfinite(a.dot(a)) or bool(np.isfinite(a).all())
 
 
 @dataclass
@@ -107,7 +122,7 @@ def metropolis_accept(rng: np.random.Generator, log_alpha: float) -> bool:
     u = rng.random()
     if log_alpha >= 0.0:
         return True
-    if np.isnan(log_alpha) or log_alpha == -np.inf:
+    if math.isnan(log_alpha) or log_alpha == -math.inf:
         return False
     if u == 0.0:
         return True

@@ -413,7 +413,7 @@ class TestStability:
         result = stability_experiment(
             target, step=2.0, steps=50, seed=3, divergence_threshold=1.0
         )
-        assert result["diverged"] or result["failed_at"] is not None or True
+        assert result["diverged"]
         assert result["delta"].size <= 50
 
 

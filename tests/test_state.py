@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hughop.state import ChainState, finish_step, log_acceptance, metropolis_accept
+from hughop.state import ChainState, all_finite, finish_step, log_acceptance, metropolis_accept
 
 
 def _state() -> ChainState:
@@ -64,3 +64,22 @@ def test_accepted_state_carries_proposal_logp_and_grad():
     assert new_state.position is proposal
     assert new_state.logp == -1.0
     assert new_state.grad is grad
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [0.5, -2.0, 3.0],
+        [0.5, np.nan, 3.0],
+        [np.inf, 1.0],
+        [1.0, -np.inf],
+        [np.inf, -np.inf, 0.0],
+        [1e200, -1e200, 1.0],  # finite, but a . a overflows
+        [],
+    ],
+    ids=["finite", "nan", "plus-inf", "minus-inf", "both-infs", "overflowing-squares", "empty"],
+)
+def test_all_finite_matches_the_entrywise_test(a):
+    a = np.array(a, dtype=float)
+    with np.errstate(over="ignore"):  # as the kernels call it
+        assert all_finite(a) is bool(np.isfinite(a).all())
