@@ -1,11 +1,13 @@
 """The contour-hugging kernel.
 
 A velocity is repeatedly bounced off the hyperplane tangent to the local
-gradient while the position drifts in half-steps, so the proposal travels a
-long way while staying close to one contour of the log-density.  Because the
-inner loop is an exact involution under velocity flip and every sub-move has
-unit Jacobian, a simple two-point Metropolis correction makes the kernel
-exact.
+gradient while the position drifts between bounces, so the proposal travels
+a long way while staying close to one contour of the log-density.  Each of
+the paper's B bounces is "drift half a step, reflect, drift half a step";
+the two half-drifts that meet between bounces are taken as one full drift.
+Because the inner loop is an exact involution under velocity flip and every
+sub-move has unit Jacobian, a simple two-point Metropolis correction makes
+the kernel exact.
 
 Three bounce modes are provided:
 
@@ -51,9 +53,9 @@ MODES = ("plain", "precond", "hessian")
 class HugParams:
     """Tuning parameters for the hug kernel.
 
-    A bounce leaves the velocity unreflected where the gradient norm (g' S g
-    in a metric mode) is at or below ``state.ZERO_GRAD_TOL``, which keeps
-    the bounce map an involution.
+    A bounce leaves the velocity unreflected where g . g (g' S g in a metric
+    mode) is at or below ``state.ZERO_GRAD_TOL**2``, which keeps the bounce
+    map an involution.
 
     Attributes:
         total_time: trajectory duration; the proposal travels roughly
@@ -66,9 +68,12 @@ class HugParams:
             finite and positive.
         velocity: ``local`` draws the velocity from the local covariance,
             ``isotropic`` from N(0, I) (``hessian`` mode only).
-        precond_factor: the factor of ``precond_cov`` (see
+        precond_factor: the factor A of ``precond_cov`` (see
             :func:`~hughop.metric.checked_factor`), computed once at
             construction; not an argument.
+        precond_whitener: the inverse of ``precond_factor.T``, which maps a
+            velocity A' z back to z; computed once at construction; not an
+            argument.
     """
 
     total_time: float
@@ -78,6 +83,9 @@ class HugParams:
     eps: float = 1e-6
     velocity: str = "local"
     precond_factor: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    precond_whitener: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -94,6 +102,7 @@ class HugParams:
             cov, a0 = checked_factor(self.precond_cov, "precond_cov")
             object.__setattr__(self, "precond_cov", cov)
             object.__setattr__(self, "precond_factor", a0)
+            object.__setattr__(self, "precond_whitener", np.linalg.inv(a0.T))
         if self.velocity not in ("local", "isotropic"):
             raise ValueError("velocity must be 'local' or 'isotropic'")
         check_floor(self.eps)
@@ -115,8 +124,8 @@ class HugTrajectory:
 def reflect(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Reflect ``v`` in the hyperplane orthogonal to ``g``.
 
-    Returns v - 2 (v . ghat) ghat with ghat the unit gradient.  A gradient
-    norm at or below ``state.ZERO_GRAD_TOL`` returns ``v`` unchanged.
+    Returns v - (2 v . g / g . g) g.  A squared gradient norm g . g at or
+    below ``state.ZERO_GRAD_TOL**2`` returns ``v`` unchanged.
     """
     v = np.asarray(v, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -124,18 +133,7 @@ def reflect(v: np.ndarray, g: np.ndarray) -> np.ndarray:
         raise ValueError(f"shape mismatch: v {v.shape} vs g {g.shape}")
     if not (np.isfinite(v).all() and np.isfinite(g).all()):
         raise NonFiniteInputError("reflect: non-finite input")
-    return _reflect(v.copy(), g, math.sqrt(g @ g))
-
-
-def _reflect(v: np.ndarray, g: np.ndarray, norm_g: float) -> np.ndarray:
-    """:func:`reflect` without its checks, given ``norm_g`` = sqrt(g . g).
-
-    A NaN ``norm_g`` reflects, and so gives a NaN velocity.
-    """
-    if norm_g <= ZERO_GRAD_TOL:
-        return v
-    ghat = g / norm_g
-    return v - 2.0 * float(v.dot(ghat)) * ghat
+    return _reflect(v.copy(), g, g, float(g.dot(g)))
 
 
 def reflect_in_metric(
@@ -148,26 +146,25 @@ def reflect_in_metric(
     Equivalent to whitening with any factor of ``sigma``, reflecting, and
     mapping back.  ``sigma`` is a dense matrix or a :class:`LocalMetric`,
     whose S g comes from its spectral form.  A quadratic form g' S g at or
-    below ``state.ZERO_GRAD_TOL`` falls back to the identity.
+    below ``state.ZERO_GRAD_TOL**2`` falls back to the identity.
     """
     v = np.asarray(v, dtype=float)
     g = np.asarray(g, dtype=float)
     if not (np.isfinite(v).all() and np.isfinite(g).all()):
         raise NonFiniteInputError("reflect_in_metric: non-finite input")
     sg = sigma.cov_dot(g) if isinstance(sigma, LocalMetric) else sigma @ g
-    return _reflect_in_metric(v.copy(), g, sg, float(g.dot(sg)))
+    return _reflect(v.copy(), g, sg, float(g.dot(sg)))
 
 
-def _reflect_in_metric(
-    v: np.ndarray, g: np.ndarray, sg: np.ndarray, denom: float
-) -> np.ndarray:
+def _reflect(v: np.ndarray, g: np.ndarray, sg: np.ndarray, denom: float) -> np.ndarray:
     """:func:`reflect_in_metric` without its checks, given ``sg`` = S g and
-    ``denom`` = g . sg.
+    ``denom`` = g . sg; with ``sg`` = g it is :func:`reflect`.
 
-    A non-finite quadratic form falls back to the identity, so the caller
-    must already know that ``g`` is finite.
+    A non-finite ``denom`` falls back to the identity, so a finite gradient
+    whose g . sg overflows leaves ``v`` unreflected, and the caller must
+    already know that ``g`` is finite.
     """
-    if not math.isfinite(denom) or denom <= ZERO_GRAD_TOL:
+    if not math.isfinite(denom) or denom <= ZERO_GRAD_TOL**2:
         return v
     return v - (2.0 * float(v.dot(g)) / denom) * sg
 
@@ -181,37 +178,42 @@ def _bounce_loop(
 ) -> HugTrajectory:
     """The bounce loop of :func:`hug_trajectory`.
 
+    The position drifts half a step, then each bounce takes the gradient at
+    the position, reflects the velocity and drifts a full step, or half a
+    step after the last bounce.
+
     The loop calls the target's trusted methods and the inner reflections;
     in ``hessian`` mode one ``_grad_and_hessian`` call gives both values,
     and a (d,) Hessian diagonal gives S g with no metric built.  ``checked``
     raises at the first non-finite bounce point, gradient or velocity, so
     every call sees inputs checked one sub-move earlier.  Unchecked, the
     loop tests only what a non-finite value could hide: a gradient whose
-    norm is not finite is tested entry by entry, because the metric
-    reflection treats a non-finite quadratic form as "no reflection" and
-    would carry a NaN gradient on as a finite velocity.
+    g . g is not finite is tested entry by entry, because the reflection
+    treats a non-finite quadratic form as "no reflection" and would carry a
+    NaN gradient on as a finite velocity.
 
     The loop and the inner reflections take vector dot products with
-    ``ndarray.dot``, the BLAS dot that ``@`` calls, with less call overhead.
+    ``ndarray.dot``, the BLAS dot that ``@`` calls, with less call overhead,
+    and scale vectors by Python floats rather than numpy scalars.
     """
-    half = 0.5 * params.step
+    step = params.step
+    half = 0.5 * step
     mode = params.mode
+    last = params.n_bounces - 1
     zero_grad = 0
-    half_v = half * v  # the drift of the half-steps on either side of a bounce
+    x = x + half * v
     for b in range(params.n_bounces):
-        x_mid = x + half_v
-        if checked and not np.isfinite(x_mid).all():
+        if checked and not np.isfinite(x).all():
             raise TrajectoryError("non-finite bounce point", b)
         if mode == "hessian":
-            g, h = target._grad_and_hessian(x_mid)
+            g, h = target._grad_and_hessian(x)
         else:
-            g = target._gradient(x_mid)
-        norm_g = math.sqrt(g.dot(g))
-        if (checked or not math.isfinite(norm_g)) and not np.isfinite(g).all():
+            g = target._gradient(x)
+        gg = float(g.dot(g))
+        if (checked or not math.isfinite(gg)) and not np.isfinite(g).all():
             raise TrajectoryError("non-finite gradient at bounce point", b)
         if mode == "plain":
-            size = norm_g  # what the zero-gradient test reads
-            v = _reflect(v, g, size)
+            sg, size = g, gg  # size: what the zero-gradient test reads
         else:
             if mode == "precond":
                 sg = params.precond_cov @ g
@@ -220,13 +222,12 @@ def _bounce_loop(
             else:
                 sg = local_covariance(h, params.eps).cov_dot(g)
             size = float(g.dot(sg))
-            v = _reflect_in_metric(v, g, sg, size)
-        if size <= ZERO_GRAD_TOL:
+        v = _reflect(v, g, sg, size)
+        if size <= ZERO_GRAD_TOL**2:
             zero_grad += 1
         if checked and not np.isfinite(v).all():
             raise TrajectoryError("non-finite velocity after bounce", b)
-        half_v = half * v
-        x = x_mid + half_v
+        x = x + (step if b < last else half) * v
     return HugTrajectory(x=x, v=v, zero_grad_bounces=zero_grad)
 
 
@@ -236,7 +237,9 @@ def hug_trajectory(
     v0: np.ndarray,
     params: HugParams,
 ) -> HugTrajectory:
-    """Run the deterministic inner loop: half-step, bounce, half-step.
+    """Run the deterministic inner loop: B bounces of drift half a step,
+    reflect, drift half a step, with the half-drifts that meet between
+    bounces taken as one drift of a full step.
 
     The map (x0, v0) -> (xB, vB) has unit Jacobian and is skew-reversible:
     rerunning it from (xB, -vB) returns (x0, -v0) exactly.
@@ -312,7 +315,7 @@ def _velocity_log_density(
     if params.mode == "plain" or (params.mode == "hessian" and params.velocity == "isotropic"):
         return -0.5 * float(v.dot(v)), None
     if params.mode == "precond":
-        w = np.linalg.solve(params.precond_factor.T, v)
+        w = params.precond_whitener @ v
         return -0.5 * float(w.dot(w)), None
     metric = local_covariance(target._hessian(x), params.eps)
     return -0.5 * metric.quad_inv(v) - 0.5 * metric.log_det, metric

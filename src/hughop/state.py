@@ -93,8 +93,8 @@ class StepOutcome:
     for a failed proposal, ``accepted`` whether the chain moved, and
     :attr:`alpha` the acceptance probability.  ``extras`` holds per-kernel
     values: ``energy_error`` for HMC, ``zero_grad_bounces`` (the bounces
-    left unreflected at a gradient, or g' S g, at or below
-    ``ZERO_GRAD_TOL``; 0 on a failed step) for hug.
+    left unreflected at a g . g, or g' S g, at or below
+    ``ZERO_GRAD_TOL**2``; 0 on a failed step) for hug.
     """
 
     proposal: np.ndarray

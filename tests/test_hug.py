@@ -257,24 +257,42 @@ class TestHugTrajectory:
     @pytest.mark.parametrize(
         "params",
         [
+            HugParams(1.0, 1),
             HugParams(1.0, 1, mode="precond", precond_cov=np.eye(3)),
             HugParams(1.0, 1, mode="hessian"),
         ],
-        ids=["precond", "hessian"],
+        ids=["plain", "precond", "hessian"],
     )
     def test_unreflected_metric_bounce_is_counted(self, params):
-        # the bounce point is 5e-8 (1, 1, 1): plain hug reflects off a
-        # gradient of norm 8.7e-8, but g' S g = 7.5e-15 leaves v unreflected
+        # the bounce point is (speed / 2) (1, 1, 1), where g . g and g' S g are
+        # 0.75 speed^2: every mode skips at 7.5e-27 <= ZERO_GRAD_TOL**2 and
+        # reflects at 7.5e-15
         target = GaussianDiag(1.0, dim=3)
-        x0, v0 = np.zeros(3), np.full(3, 1e-7)
-        fwd = hug_trajectory(target, x0, v0, params)
-        np.testing.assert_array_equal(fwd.v, v0)
-        assert fwd.zero_grad_bounces == 1
-        back = hug_trajectory(target, fwd.x, -fwd.v, params)
-        np.testing.assert_array_equal(back.x, x0)
-        np.testing.assert_array_equal(back.v, -v0)
-        assert back.zero_grad_bounces == 1
+        x0 = np.zeros(3)
+        for speed, skipped in ((1e-13, True), (1e-7, False)):
+            v0 = np.full(3, speed)
+            fwd = hug_trajectory(target, x0, v0, params)
+            assert fwd.zero_grad_bounces == int(skipped)
+            if skipped:
+                np.testing.assert_array_equal(fwd.v, v0)
+            else:  # v0 is parallel to g, so it reverses
+                np.testing.assert_allclose(fwd.v, -v0, rtol=1e-12)
+            back = hug_trajectory(target, fwd.x, -fwd.v, params)
+            np.testing.assert_allclose(back.x, x0, rtol=0, atol=1e-20)
+            np.testing.assert_allclose(back.v, -v0, rtol=1e-12)
+            assert back.zero_grad_bounces == int(skipped)
 
+    @pytest.mark.parametrize("steepness", [1e200, 1e308])
+    def test_overflowing_gradient_leaves_velocity_unreflected(self, steepness):
+        # g . g overflows for a finite g; at 1e308, v . g overflows too
+        class Steep(GaussianDiag):
+            def _gradient(self, x):
+                return np.array([steepness, 1.0])
+
+        traj = hug_trajectory(Steep(1.0, dim=2), [0.0, 0.0], [1.0, 1.0], HugParams(1.0, 2))
+        np.testing.assert_array_equal(traj.v, [1.0, 1.0])
+        np.testing.assert_array_equal(traj.x, [1.0, 1.0])
+        assert traj.zero_grad_bounces == 0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -295,6 +313,52 @@ class TestHugTrajectory:
         back = hug_trajectory(target, fwd.x, -fwd.v, params)
         assert np.linalg.norm(back.x - x0) / (1 + np.linalg.norm(x0)) <= 1e-10
         assert np.linalg.norm(back.v + v0) / (1 + np.linalg.norm(v0)) <= 1e-10
+
+
+def paper_bounces(target, x, v, params):
+    """The paper's bounce loop, transcribed: B times drift half a step,
+    reflect v with the unit gradient in the whitened space of the metric S,
+    drift half a step."""
+    half = 0.5 * params.total_time / params.n_bounces
+    for _ in range(params.n_bounces):
+        x = x + half * v
+        g = target.gradient(x)
+        if params.mode == "plain":
+            root = np.eye(x.size)
+        elif params.mode == "precond":
+            root = np.linalg.cholesky(params.precond_cov)
+        else:
+            root = np.linalg.cholesky(local_covariance(target.hessian(x), params.eps).sigma)
+        # with S = L L': w = L^-1 v and L' g are v and g whitened
+        g_w = root.T @ g
+        ghat = g_w / np.linalg.norm(g_w)
+        w = np.linalg.solve(root, v)
+        v = root @ (w - 2.0 * (w @ ghat) * ghat)
+        x = x + half * v
+    return x, v
+
+
+@pytest.mark.parametrize("n_bounces", [1, 2, 7])
+@pytest.mark.parametrize("mode", ["plain", "precond", "hessian"])
+@pytest.mark.parametrize(
+    "target",
+    [
+        LogisticGaussian(a=5.0, scales=[1.0, 2.0, 0.5, 1.5]),
+        make_target({"target": "banana", "dim": 4, "scales": "L"}),
+    ],
+    ids=["lg4", "banana4"],
+)
+def test_trajectory_is_the_paper_loop(target, mode, n_bounces, rng):
+    # the loop merges the half-drifts that meet between bounces and reflects
+    # without a unit gradient, so it matches the paper's loop up to rounding
+    kwargs = {"precond_cov": random_spd(rng, 4)} if mode == "precond" else {}
+    params = HugParams(0.8, n_bounces, mode=mode, **kwargs)
+    for _ in range(5):
+        x0, v0 = rng.standard_normal(4), rng.standard_normal(4)
+        traj = hug_trajectory(target, x0, v0, params)
+        x_ref, v_ref = paper_bounces(target, x0, v0, params)
+        assert np.linalg.norm(traj.x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+        assert np.linalg.norm(traj.v - v_ref) <= 1e-12 * np.linalg.norm(v_ref)
 
 
 class TestHugKernelStep:
