@@ -4,13 +4,14 @@ Metropolis (optionally with a local Hessian covariance), and MALA."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import FactorizationError, HugHopError, NonFiniteInputError, TrajectoryError
 from .metric import check_floor, checked_factor, local_covariance
-from .state import ChainState, Kernel, StepOutcome, finish_step
+from .state import ChainState, Kernel, StepOutcome, all_finite, finish_step
 from .targets import TargetModel
 
 __all__ = [
@@ -105,13 +106,15 @@ def leapfrog(
     p: np.ndarray,
     params: HmcParams,
     grad: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Run n_steps of the half-kick / drift / half-kick integrator.
 
     Momenta follow p ~ N(0, M) with kinetic energy p' M^-1 p / 2, so the
     drift is x += step_size * M^-1 p.  ``grad`` is the log-density gradient
     at ``x`` when the caller has it; otherwise it is evaluated.  Returns the
-    final position, momentum and gradient.
+    final position, momentum and gradient, and the log-density there: the
+    last step evaluates it with its gradient (``target._value_and_grad``),
+    and with no steps it is the log-density at ``x``.
 
     Finiteness is checked once, at the endpoint: a non-finite position
     carries into every later position, and a non-finite gradient or
@@ -129,9 +132,9 @@ def leapfrog(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g = target.gradient(x) if grad is None else grad
         try:
-            x1, p1, g1 = _leapfrog_loop(target, x, p, g, solve, params, checked=False)
-            if np.isfinite(x1).all() and np.isfinite(p1).all():
-                return x1, p1, g1
+            x1, p1, g1, logp1 = _leapfrog_loop(target, x, p, g, solve, params, checked=False)
+            if all_finite(x1) and all_finite(p1):
+                return x1, p1, g1, logp1
         except HugHopError:  # the checked replay raises what a per-step check would
             pass
         return _leapfrog_loop(target, x, p, g, solve, params, checked=True)
@@ -142,18 +145,23 @@ def _leapfrog_loop(target, x, p, g, solve, params: HmcParams, checked: bool):
     ``checked`` raises at the first non-finite position, gradient or
     momentum, so the trusted gradient only sees checked positions."""
     delta = params.step_size
+    last = params.n_steps - 1
+    logp = target._log_density(x) if last < 0 else None
     for step in range(params.n_steps):
         p_half = p + 0.5 * delta * g
         x = x + delta * solve(p_half)
-        if checked and not np.isfinite(x).all():
+        if checked and not all_finite(x):
             raise TrajectoryError("non-finite position in leapfrog", step)
-        g = target._gradient(x)
-        if checked and not np.isfinite(g).all():
+        if step < last:
+            g = target._gradient(x)
+        else:
+            logp, g = target._value_and_grad(x)
+        if checked and not all_finite(g):
             raise TrajectoryError("non-finite gradient in leapfrog", step)
         p = p_half + 0.5 * delta * g
-        if checked and not np.isfinite(p).all():
+        if checked and not all_finite(p):
             raise TrajectoryError("non-finite momentum in leapfrog", step)
-    return x, p, g
+    return x, p, g, logp
 
 
 def hmc_step(
@@ -166,25 +174,25 @@ def hmc_step(
 
     The trajectory starts from the state's cached gradient, and an accepted
     move caches the gradient at its endpoint, so a step costs n_steps
-    gradients, not n_steps + 1.
+    gradients, not n_steps + 1, and the endpoint's log-density comes with
+    its last gradient.
     """
     x = state.position
     mass = params.mass_matrix
     z = rng.standard_normal(x.size)
-    p0 = z if mass is None else params.mass_factor.T @ z
-    kinetic0 = 0.5 * float(z @ z)  # p0' M^-1 p0 / 2 computed in whitened form
+    p0 = z if mass is None else params.mass_factor.T.dot(z)
+    kinetic0 = 0.5 * float(z.dot(z))  # p0' M^-1 p0 / 2 computed in whitened form
 
     proposal = x.copy()
     y_logp = y_grad = None
     energy_error = np.nan
     try:
-        y, p1, y_grad = leapfrog(target, x, p0, params, state.ensure_grad(target))
+        y, p1, y_grad, y_logp = leapfrog(target, x, p0, params, state.ensure_grad(target))
         with np.errstate(over="ignore", invalid="ignore"):
-            y_logp = target._log_density(y)
             if mass is None:
-                kinetic1 = 0.5 * float(p1 @ p1)
+                kinetic1 = 0.5 * float(p1.dot(p1))
             else:
-                kinetic1 = 0.5 * float(p1 @ np.linalg.solve(mass, p1))
+                kinetic1 = 0.5 * float(p1.dot(np.linalg.solve(mass, p1)))
         energy_error = (y_logp - kinetic1) - (state.logp - kinetic0)
         proposal = y
     except (TrajectoryError, NonFiniteInputError) as exc:
@@ -251,10 +259,10 @@ def mala_step(
     with np.errstate(over="ignore", invalid="ignore"):
         mean_fwd = x + 0.5 * s**2 * g_x
         y = mean_fwd + s * rng.standard_normal(x.size)
-        finite = np.isfinite(y).all()
+        finite = all_finite(y)
         if finite:
             y_logp, y_grad = target._value_and_grad(y)
-            if np.isfinite(y_logp) and np.isfinite(y_grad).all():
+            if math.isfinite(y_logp) and all_finite(y_grad):
                 mean_rev = y + 0.5 * s**2 * y_grad
                 fwd = -0.5 * float(np.sum((y - mean_fwd) ** 2)) / s**2
                 rev = -0.5 * float(np.sum((x - mean_rev) ** 2)) / s**2

@@ -229,7 +229,8 @@ def run_gibbs(
             row, z = sweep - burn_in, state.field_state.position
             positions[row, : model.field_dim] = z
             positions[row, model.field_dim :] = state.theta
-            log_target[row] = model.joint_log_density(state.theta, z, state.a)
+            # the joint log-density, from the field state's cached logp
+            log_target[row] = state.field_state.logp + model.theta_log_prior(state.theta)
             for key, flag in info.items():
                 accept.setdefault(key, np.zeros(n_rec, dtype=bool))[row] = flag
     wall_time = time.perf_counter() - start

@@ -119,7 +119,7 @@ class CauchitPosterior(TargetModel):
         self._yx = data.responses[:, None] * data.covariates  # (n_obs, dim)
 
     def _z(self, beta):
-        return self._yx @ beta
+        return self._yx.dot(beta)
 
     def _log_density(self, beta):
         return self._value(beta, np.arctan(self._z(beta)))
@@ -146,7 +146,7 @@ class CauchitPosterior(TargetModel):
         z *= z
         z += 1.0
         denom *= z
-        return self._yx.T @ np.reciprocal(denom, out=denom) - self.data.tau * beta
+        return self._yx.T.dot(np.reciprocal(denom, out=denom)) - self.data.tau * beta
 
     def _hessian(self, beta):
         z = self._z(beta)
@@ -267,24 +267,36 @@ def grid_distances(n_rows: int, n_cols: int) -> np.ndarray:
     return np.sqrt(dr * dr + dc * dc)
 
 
-def gp_covariance(
-    theta, distances: np.ndarray, jitter: float = 0.0
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Exponential-correlation GP covariance and a factor of it.
-
-    Sigma[g, g'] = exp(rho - exp(-psi) D[g, g']) for theta = (rho, psi).
-    Returns (Sigma, A, log det Sigma) with A' A = Sigma.
-
-    Raises:
-        FactorizationError: when Sigma is numerically singular (very large
-            ranges); the message suggests a diagonal jitter.
-    """
-    rho, psi = float(theta[0]), float(theta[1])
+def _checked_distances(distances) -> np.ndarray:
+    """``distances`` as a float array, checked to be a square, nonnegative
+    distance matrix with a zero diagonal."""
     distances = np.asarray(distances, dtype=float)
     if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
         raise ValueError("distance matrix must be square")
     if np.any(distances < 0) or np.max(np.abs(np.diag(distances))) > 0:
         raise ValueError("distances must be nonnegative with a zero diagonal")
+    return distances
+
+
+def gp_covariance(
+    theta, distances: np.ndarray, jitter: float = 0.0, *, check: bool = True
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Exponential-correlation GP covariance and a factor of it.
+
+    Sigma[g, g'] = exp(rho - exp(-psi) D[g, g']) for theta = (rho, psi).
+    Returns (Sigma, A, log det Sigma) with A' A = Sigma.  ``check=False``
+    skips the checks of ``distances``, for a caller that made them once, as
+    :class:`SpatialProbitModel` does for its grid.
+
+    Raises:
+        ValueError: when ``check`` is set and ``distances`` is not a square,
+            nonnegative matrix with a zero diagonal.
+        FactorizationError: when Sigma is numerically singular (very large
+            ranges); the message suggests a diagonal jitter.
+    """
+    rho, psi = float(theta[0]), float(theta[1])
+    if check:
+        distances = _checked_distances(distances)
     with np.errstate(over="ignore", under="ignore"):
         sigma = np.exp(rho - np.exp(-psi) * distances)
     if not np.all(np.isfinite(sigma)):
@@ -346,11 +358,11 @@ class SpatialConditionalTarget(TargetModel):
         self.prior_only = prior_only
 
     def _signed_field(self, z):
-        return self.data.responses * (self.a.T @ z)
+        return self.data.responses * self.a.T.dot(z)
 
     def _log_density(self, z):
         if self.prior_only:
-            return -0.5 * float(z @ z)
+            return -0.5 * float(z.dot(z))
         return self._value(z, log_ndtr(self._signed_field(z)))
 
     def _gradient(self, z):
@@ -367,12 +379,12 @@ class SpatialConditionalTarget(TargetModel):
         return self._value(z, log_cdf), self._grad(z, field, log_cdf)
 
     def _value(self, z, log_cdf):
-        prior = -0.5 * float(z @ z)
+        prior = -0.5 * float(z.dot(z))
         return float(np.sum(log_cdf)) + prior
 
     def _grad(self, z, field, log_cdf):
         w = self.data.responses * _mills(field, log_cdf)
-        return self.a @ w - z
+        return self.a.dot(w) - z
 
     def _hessian(self, z):
         if self.prior_only:
@@ -394,7 +406,7 @@ class SpatialProbitModel:
         self.data = data
         self.jitter = float(jitter)
         self.prior_only = prior_only
-        self.distances = grid_distances(data.n_rows, data.n_cols)
+        self.distances = _checked_distances(grid_distances(data.n_rows, data.n_cols))
 
     @property
     def field_dim(self) -> int:
@@ -405,23 +417,25 @@ class SpatialProbitModel:
         return self.data.n_sites + 2
 
     def covariance(self, theta):
-        return gp_covariance(theta, self.distances, self.jitter)
+        return gp_covariance(theta, self.distances, self.jitter, check=False)
 
     def conditional_target(self, theta, a: np.ndarray | None = None) -> SpatialConditionalTarget:
         if a is None:
             _, a, _ = self.covariance(theta)
         return SpatialConditionalTarget(self.data, a, self.prior_only)
 
+    def theta_log_prior(self, theta) -> float:
+        """log prior of the GP parameters, N(0, I / tau), up to a constant."""
+        return -0.5 * self.data.tau * float(theta[0] ** 2 + theta[1] ** 2)
+
     def joint_log_density(self, theta, z: np.ndarray, a: np.ndarray | None = None) -> float:
-        """log posterior of (theta, z) up to a constant; used by the theta block."""
-        if a is None:
-            _, a, _ = self.covariance(theta)
-        prior_theta = -0.5 * self.data.tau * float(theta[0] ** 2 + theta[1] ** 2)
-        prior_z = -0.5 * float(z @ z)
-        if self.prior_only:
-            return prior_theta + prior_z
-        lik = float(np.sum(log_ndtr(self.data.responses * (a.T @ z))))
-        return lik + prior_z + prior_theta
+        """log posterior of (theta, z) up to a constant: the conditional
+        target's log-density at the finite ``z`` plus the theta prior.
+
+        A field state's cached ``logp`` is that conditional log-density, so
+        ``state.logp + theta_log_prior(theta)`` is this value to the bit.
+        """
+        return self.conditional_target(theta, a)._log_density(z) + self.theta_log_prior(theta)
 
 
 @dataclass
@@ -440,7 +454,9 @@ class GibbsSampler:
     pair, or HMC) against the conditional target for the current theta; the
     theta block is an isotropic bivariate random-walk on the joint density,
     recomputing the covariance factor on every proposal.  Factorisation
-    failures at a proposed theta reject that proposal.
+    failures at a proposed theta reject that proposal.  The joint density at
+    the current theta is the field state's cached ``logp`` plus the theta
+    prior, so a sweep evaluates the joint density once, at the proposal.
     """
 
     def __init__(self, model: SpatialProbitModel, inner_kernels, rwm_scale: float = 0.3):
@@ -475,9 +491,9 @@ class GibbsSampler:
             log_ratio = None
             try:
                 _, a_prop, _ = self.model.covariance(proposal)
-                log_ratio = self.model.joint_log_density(
-                    proposal, z, a_prop
-                ) - self.model.joint_log_density(theta, z, a)
+                log_ratio = self.model.joint_log_density(proposal, z, a_prop) - (
+                    field_state.logp + self.model.theta_log_prior(theta)
+                )
             except FactorizationError:
                 pass
             if metropolis_accept(rng, log_acceptance(log_ratio)):

@@ -1,7 +1,11 @@
 """Shared oracles and helpers for the test-suite."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+
+from hughop.targets import TargetModel
 
 
 def fd_gradient(f, x, step=None):
@@ -34,6 +38,39 @@ def rel_err(approx, exact):
     approx = np.asarray(approx, dtype=float)
     exact = np.asarray(exact, dtype=float)
     return np.max(np.abs(approx - exact)) / (1.0 + np.max(np.abs(exact)))
+
+
+class CountingTarget(TargetModel):
+    """Wraps a target and counts the calls of each of its trusted methods.
+
+    Each method delegates to the same method of the wrapped target, so a
+    fused ``_value_and_grad`` counts once and not as its two parts.
+    """
+
+    def __init__(self, target: TargetModel):
+        self.target = target
+        self.dim = target.dim
+        self.name = target.name
+        self.calls = Counter()
+
+    def _call(self, method, *args):
+        self.calls[method] += 1
+        return getattr(self.target, method)(*args)
+
+    def _log_density(self, x):
+        return self._call("_log_density", x)
+
+    def _gradient(self, x):
+        return self._call("_gradient", x)
+
+    def _value_and_grad(self, x):
+        return self._call("_value_and_grad", x)
+
+    def _hessian(self, x):
+        return self._call("_hessian", x)
+
+    def _grad_and_hessian(self, x):
+        return self._call("_grad_and_hessian", x)
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Leapfrog integrator and the HMC / RWM / MALA reference kernels."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,32 @@ from hughop.baselines import (
 from hughop.exceptions import TrajectoryError
 from hughop.hug import HugParams, hug_kernel_step
 from hughop.state import ChainState
-from hughop.targets import GaussianDiag, QuarticGaussian
+from hughop.targets import GaussianDiag, QuarticGaussian, make_target
+
+from conftest import CountingTarget
+
+LG4 = make_target({"target": "lg", "a": 2.0, "scales": "L", "dim": 4})
+BANANA4 = make_target({"target": "banana", "dim": 4, "scales": [1.0, 0.5, 1.0, 2.0]})
+MASSES = {
+    "identity": None,
+    "diag": np.array([0.5, 2.0, 1.0, 1.5]),
+    "full": np.array([[1.0, 0.3, 0.0, 0.1],
+                      [0.3, 2.0, 0.4, 0.0],
+                      [0.0, 0.4, 0.8, 0.2],
+                      [0.1, 0.0, 0.2, 1.5]]),
+}
+
+
+def textbook_leapfrog(target, x, p, n_steps, step_size, mass):
+    """The leapfrog of Neal (2011), "MCMC using Hamiltonian dynamics",
+    transcribed: each step kicks p by half a step, drifts x by a step of
+    M^-1 p and kicks p by half a step again."""
+    mass = np.eye(x.size) if mass is None else np.diag(mass) if mass.ndim == 1 else mass
+    for _ in range(n_steps):
+        p = p + 0.5 * step_size * target.gradient(x)
+        x = x + step_size * np.linalg.solve(mass, p)
+        p = p + 0.5 * step_size * target.gradient(x)
+    return x, p
 
 
 class TestLeapfrog:
@@ -23,7 +50,7 @@ class TestLeapfrog:
         target = GaussianDiag(scales=1.0, dim=3)
         x = rng.standard_normal(3)
         p = rng.standard_normal(3)
-        x1, p1, _ = leapfrog(target, x, p, HmcParams(n_steps=1, step_size=1e-8))
+        x1, p1, _, _ = leapfrog(target, x, p, HmcParams(n_steps=1, step_size=1e-8))
         np.testing.assert_allclose(x1, x, atol=1e-7)
         np.testing.assert_allclose(p1, p, atol=1e-7)
 
@@ -32,8 +59,8 @@ class TestLeapfrog:
         params = HmcParams(n_steps=25, step_size=0.1)
         x0 = rng.standard_normal(2)
         p0 = rng.standard_normal(2)
-        x1, p1, _ = leapfrog(target, x0, p0, params)
-        x2, p2, _ = leapfrog(target, x1, -p1, params)
+        x1, p1, _, _ = leapfrog(target, x0, p0, params)
+        x2, p2, _, _ = leapfrog(target, x1, -p1, params)
         np.testing.assert_allclose(x2, x0, atol=1e-10)
         np.testing.assert_allclose(-p2, p0, atol=1e-10)
 
@@ -49,7 +76,7 @@ class TestLeapfrog:
         steps = [0.2, 0.1, 0.05, 0.025]
         for step in steps:
             n = int(round(1.0 / step))
-            x1, p1, _ = leapfrog(target, x0, p0, HmcParams(n_steps=n, step_size=step))
+            x1, p1, _, _ = leapfrog(target, x0, p0, HmcParams(n_steps=n, step_size=step))
             errors.append(abs(ham(x1, p1) - ham(x0, p0)))
         slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
         assert 1.8 <= slope <= 2.2
@@ -90,10 +117,42 @@ class TestLeapfrog:
         p = rng.standard_normal(2)
         diag = HmcParams(n_steps=5, step_size=0.1, mass_matrix=np.array([2.0, 0.5]))
         full = HmcParams(n_steps=5, step_size=0.1, mass_matrix=np.diag([2.0, 0.5]))
-        xa, pa, _ = leapfrog(target, x, p, diag)
-        xb, pb, _ = leapfrog(target, x, p, full)
+        xa, pa, _, _ = leapfrog(target, x, p, diag)
+        xb, pb, _, _ = leapfrog(target, x, p, full)
         np.testing.assert_allclose(xa, xb, atol=1e-12)
         np.testing.assert_allclose(pa, pb, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 2, 7])
+@pytest.mark.parametrize("mass", list(MASSES))
+@pytest.mark.parametrize("target", [LG4, BANANA4], ids=["lg4", "banana4"])
+def test_leapfrog_is_the_textbook_loop(target, mass, n_steps, rng):
+    # the integrator merges the half-kicks that meet between steps and
+    # applies a cached inverse mass, so it matches the textbook loop up to
+    # rounding; the endpoint gradient and log-density are the target's there
+    params = HmcParams(n_steps=n_steps, step_size=0.15, mass_matrix=MASSES[mass])
+    factor = np.eye(4) if params.mass_factor is None else params.mass_factor
+    for _ in range(5):
+        x0, p0 = rng.standard_normal(4), factor.T @ rng.standard_normal(4)
+        x1, p1, g1, logp1 = leapfrog(target, x0, p0, params)
+        x_ref, p_ref = textbook_leapfrog(target, x0, p0, n_steps, 0.15, MASSES[mass])
+        assert np.linalg.norm(x1 - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+        assert np.linalg.norm(p1 - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
+        np.testing.assert_array_equal(g1, target.gradient(x1))
+        assert logp1 == target.log_density(x1)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 7])
+@pytest.mark.parametrize("mass", list(MASSES))
+def test_hmc_step_target_calls(mass, n_steps, rng):
+    # from a state with a cached gradient, L steps cost L - 1 gradients and
+    # one fused value and gradient at the endpoint, and nothing else
+    target = CountingTarget(LG4)
+    state = ChainState.at(target, rng.standard_normal(4), with_grad=True)
+    params = HmcParams(n_steps=n_steps, step_size=0.15, mass_matrix=MASSES[mass])
+    target.calls.clear()
+    hmc_step(target, state, params, rng)
+    assert target.calls == Counter(_gradient=n_steps - 1, _value_and_grad=1)
 
 
 class TestHmcStep:

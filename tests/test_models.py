@@ -293,9 +293,9 @@ class TestGibbs:
 class TestGibbsRecord:
     """``run_gibbs`` records its chain as a ``Trace`` with its summary."""
 
-    def _run(self, rwm_scale=0.4, sweeps=300):
+    def _run(self, rwm_scale=0.4, sweeps=300, prior_only=False):
         data = simulate_spatial(3, 3, np.log(2.0), np.log(0.2), 1.0, np.random.default_rng(30))
-        model = SpatialProbitModel(data)
+        model = SpatialProbitModel(data, prior_only=prior_only)
         rng = np.random.default_rng(31)
         return model, run_gibbs(model, inner_hug_hop(), sweeps, rng, rwm_scale=rwm_scale)
 
@@ -314,12 +314,35 @@ class TestGibbsRecord:
         assert summary.iterations == 300
         assert len(summary.ess_x) == model.total_dim
 
-    def test_log_target_is_joint_log_density(self):
-        model, (trace, _, _) = self._run()
+    @pytest.mark.parametrize("prior_only", [False, True], ids=["posterior", "prior-only"])
+    def test_log_target_is_joint_log_density(self, prior_only):
+        model, (trace, _, _) = self._run(prior_only=prior_only)
         for row, logpi in zip(trace.positions, trace.log_target):
             z, theta = row[: model.field_dim], row[model.field_dim :]
             _, a, _ = model.covariance(theta)
-            assert logpi == pytest.approx(model.joint_log_density(theta, z, a), rel=1e-12)
+            assert logpi == model.joint_log_density(theta, z, a)
+
+    def test_joint_log_density_is_evaluated_once_per_sweep(self, monkeypatch):
+        # the joint density at the current theta is the field state's cached
+        # logp plus the theta prior: a sweep evaluates it at the proposal
+        # only, and recording a row evaluates nothing
+        data = simulate_spatial(3, 3, np.log(2.0), np.log(0.2), 1.0, np.random.default_rng(30))
+        model = SpatialProbitModel(data)
+        calls = []
+        joint = model.joint_log_density
+        monkeypatch.setattr(model, "joint_log_density", lambda *a: calls.append(a) or joint(*a))
+        sampler = GibbsSampler(model, inner_hug_hop(), rwm_scale=0.4)
+        state = sampler.init_state()
+        rng = np.random.default_rng(32)
+        for sweep in range(1, 21):
+            state, _ = sampler.step(state, rng)
+            assert len(calls) == sweep
+        calls.clear()
+        run_gibbs(model, inner_hug_hop(), 40, rng, burn_in=10, rwm_scale=0.4)
+        assert len(calls) == 40
+        calls.clear()
+        run_gibbs(model, inner_hug_hop(), 40, rng, burn_in=10, rwm_scale=0.0)
+        assert calls == []
 
     def test_accept_has_one_flag_array_per_block(self):
         _, (trace, summary, _) = self._run()
