@@ -37,14 +37,16 @@ class HmcParams:
     ``mass_matrix`` is ``None`` (the identity), a vector of positive
     diagonal entries, or a symmetric positive-definite matrix.  It is
     validated and stored as a dense matrix at construction, and its factor
-    (see :func:`~hughop.metric.checked_factor`) is computed once into
-    ``mass_factor``.
+    (see :func:`~hughop.metric.checked_factor`) and its inverse, which the
+    drift and the kinetic energy apply, are computed once into
+    ``mass_factor`` and ``inverse_mass``.
     """
 
     n_steps: int
     step_size: float
     mass_matrix: np.ndarray | None = None
     mass_factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    inverse_mass: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_steps < 0 or int(self.n_steps) != self.n_steps:
@@ -56,6 +58,7 @@ class HmcParams:
             mass, a0 = checked_factor(np.diag(mass) if mass.ndim == 1 else mass, "mass_matrix")
             object.__setattr__(self, "mass_matrix", mass)
             object.__setattr__(self, "mass_factor", a0)
+            object.__setattr__(self, "inverse_mass", np.linalg.inv(mass))
 
 
 @dataclass(frozen=True)
@@ -110,55 +113,63 @@ def leapfrog(
     """Run n_steps of the half-kick / drift / half-kick integrator.
 
     Momenta follow p ~ N(0, M) with kinetic energy p' M^-1 p / 2, so the
-    drift is x += step_size * M^-1 p.  ``grad`` is the log-density gradient
-    at ``x`` when the caller has it; otherwise it is evaluated.  Returns the
-    final position, momentum and gradient, and the log-density there: the
-    last step evaluates it with its gradient (``target._value_and_grad``),
-    and with no steps it is the log-density at ``x``.
+    drift is x += step_size * M^-1 p, with M^-1 the cached
+    ``params.inverse_mass``.  The two half-kicks that meet between steps
+    are taken as one full kick (Neal 2011), so a step is a drift, a
+    gradient and one kick, between a half-kick at each end.  ``grad`` is
+    the log-density gradient at ``x`` when the caller has it; otherwise it
+    is evaluated.  Returns the final position, momentum and gradient, and
+    the log-density there: the last step evaluates it with its gradient
+    (``target._value_and_grad``), and with no steps it is the log-density
+    at ``x``.
 
     Finiteness is checked once, at the endpoint: a non-finite position
     carries into every later position, and a non-finite gradient or
     momentum carries into the next position or the final momentum, so the
     steps call the target's trusted gradient.  On failure the steps are
-    replayed with a check after each sub-move, which names the failing one.
+    replayed with a check after each sub-move, which names the failing one;
+    the momentum checked after step k's kick is the one step k + 1 drifts
+    with.
 
     Raises:
         TrajectoryError: on a non-finite state, identifying the step index.
     """
     x = np.asarray(x, dtype=float).copy()
     p = np.asarray(p, dtype=float).copy()
-    mass = params.mass_matrix
-    solve = (lambda q: q) if mass is None else (lambda q: np.linalg.solve(mass, q))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g = target.gradient(x) if grad is None else grad
         try:
-            x1, p1, g1, logp1 = _leapfrog_loop(target, x, p, g, solve, params, checked=False)
+            x1, p1, g1, logp1 = _leapfrog_loop(target, x, p, g, params, checked=False)
             if all_finite(x1) and all_finite(p1):
                 return x1, p1, g1, logp1
         except HugHopError:  # the checked replay raises what a per-step check would
             pass
-        return _leapfrog_loop(target, x, p, g, solve, params, checked=True)
+        return _leapfrog_loop(target, x, p, g, params, checked=True)
 
 
-def _leapfrog_loop(target, x, p, g, solve, params: HmcParams, checked: bool):
+def _leapfrog_loop(target, x, p, g, params: HmcParams, checked: bool):
     """The steps of :func:`leapfrog` from gradient ``g`` at ``x``;
     ``checked`` raises at the first non-finite position, gradient or
     momentum, so the trusted gradient only sees checked positions."""
     delta = params.step_size
+    half = 0.5 * delta
+    # a drift with a mass costs one product, as one without does
+    drift = None if params.inverse_mass is None else delta * params.inverse_mass
     last = params.n_steps - 1
-    logp = target._log_density(x) if last < 0 else None
+    if last < 0:
+        return x, p, g, target._log_density(x)
+    p = p + half * g
     for step in range(params.n_steps):
-        p_half = p + 0.5 * delta * g
-        x = x + delta * solve(p_half)
+        x = x + (delta * p if drift is None else drift.dot(p))
         if checked and not all_finite(x):
             raise TrajectoryError("non-finite position in leapfrog", step)
         if step < last:
-            g = target._gradient(x)
+            g, kick = target._gradient(x), delta
         else:
-            logp, g = target._value_and_grad(x)
+            (logp, g), kick = target._value_and_grad(x), half
         if checked and not all_finite(g):
             raise TrajectoryError("non-finite gradient in leapfrog", step)
-        p = p_half + 0.5 * delta * g
+        p = p + kick * g
         if checked and not all_finite(p):
             raise TrajectoryError("non-finite momentum in leapfrog", step)
     return x, p, g, logp
@@ -178,9 +189,9 @@ def hmc_step(
     its last gradient.
     """
     x = state.position
-    mass = params.mass_matrix
+    inverse_mass = params.inverse_mass
     z = rng.standard_normal(x.size)
-    p0 = z if mass is None else params.mass_factor.T.dot(z)
+    p0 = z if inverse_mass is None else params.mass_factor.T.dot(z)
     kinetic0 = 0.5 * float(z.dot(z))  # p0' M^-1 p0 / 2 computed in whitened form
 
     proposal = x.copy()
@@ -189,10 +200,8 @@ def hmc_step(
     try:
         y, p1, y_grad, y_logp = leapfrog(target, x, p0, params, state.ensure_grad(target))
         with np.errstate(over="ignore", invalid="ignore"):
-            if mass is None:
-                kinetic1 = 0.5 * float(p1.dot(p1))
-            else:
-                kinetic1 = 0.5 * float(p1.dot(np.linalg.solve(mass, p1)))
+            q1 = p1 if inverse_mass is None else inverse_mass.dot(p1)
+            kinetic1 = 0.5 * float(p1.dot(q1))
         energy_error = (y_logp - kinetic1) - (state.logp - kinetic0)
         proposal = y
     except (TrajectoryError, NonFiniteInputError) as exc:

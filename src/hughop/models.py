@@ -117,6 +117,8 @@ class CauchitPosterior(TargetModel):
         self.data = data
         self.dim = data.covariates.shape[1]
         self._yx = data.responses[:, None] * data.covariates  # (n_obs, dim)
+        # the gradient's product runs faster on a C-ordered transpose
+        self._yx_t = np.ascontiguousarray(self._yx.T)
 
     def _z(self, beta):
         return self._yx.dot(beta)
@@ -146,7 +148,7 @@ class CauchitPosterior(TargetModel):
         z *= z
         z += 1.0
         denom *= z
-        return self._yx.T.dot(np.reciprocal(denom, out=denom)) - self.data.tau * beta
+        return self._yx_t.dot(np.reciprocal(denom, out=denom)) - self.data.tau * beta
 
     def _hessian(self, beta):
         z = self._z(beta)
