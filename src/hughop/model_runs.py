@@ -138,14 +138,17 @@ def run_cauchit_comparison(
 
     Both samplers are tuned by ``tune_kernels``, which runs the harness
     grid tuner on this target, with the same ``pilot_iterations``, sized by
-    its 5% rule.  At seed 2109 and 6,000 iterations the hug+hop cells
-    spread by 4.5-14%, as much as the leading cells differ, and the tuner
-    picked the cell that ranks 11th of 12 on the 50,000-iteration
-    objective.  At 20,000 the four leading cells spread by 4.4-6.4%; the
-    tuner puts them on top, 11% clear of the rest, and picks the 3rd.  The
-    spread falls more slowly than 1/sqrt(n); most of it comes from the
-    ESS(log pi) estimate.  HMC's best cell leads its grid by 26% on the
-    50,000-iteration objective and is picked at either length.
+    its 5% rule.  When this default was set (commit 9b1b461), at seed 2109
+    and 6,000 iterations the hug+hop cells spread by 4.5-14%, as much as
+    the leading cells differ, and the tuner picked the cell that ranked
+    11th of 12 on the 50,000-iteration objective.  At 20,000 the four
+    leading cells spread by 4.4-6.4%; the tuner put them on top, 11% clear
+    of the rest, and picked the 3rd.  The spread falls more slowly than
+    1/sqrt(n); most of it comes from the ESS(log pi) estimate.  HMC's best
+    cell led its grid by 26% on the 50,000-iteration objective and was
+    picked at either length.  The ranks were not measured again after later
+    changes to floating-point order; at 20,000 the tuner now picks T=1,
+    B=20, lam=10 for hug+hop and L=10, step 0.06 for HMC.
     """
     hh_grid = {
         "T": [0.5, 1.0],

@@ -41,7 +41,8 @@ def rel_err(approx, exact):
 
 
 class CountingTarget(TargetModel):
-    """Wraps a target and counts the calls of each of its trusted methods.
+    """Wraps a target and counts the calls of its trusted log-density and
+    gradient methods.
 
     Each method delegates to the same method of the wrapped target, so a
     fused ``_value_and_grad`` counts once and not as its two parts.
@@ -65,12 +66,6 @@ class CountingTarget(TargetModel):
 
     def _value_and_grad(self, x):
         return self._call("_value_and_grad", x)
-
-    def _hessian(self, x):
-        return self._call("_hessian", x)
-
-    def _grad_and_hessian(self, x):
-        return self._call("_grad_and_hessian", x)
 
 
 @pytest.fixture
