@@ -232,7 +232,6 @@ def run_gibbs(
             row, z = sweep - burn_in, state.field_state.position
             positions[row, : model.field_dim] = z
             positions[row, model.field_dim :] = state.theta
-            # the joint log-density, from the field state's cached logp
             log_target[row] = state.field_state.logp + model.theta_log_prior(state.theta)
             for key, flag in info.items():
                 accept.setdefault(key, np.zeros(n_rec, dtype=bool))[row] = flag
