@@ -33,7 +33,6 @@ from .hug import (
     hug_kernel_step,
     hug_trajectory,
     reflect,
-    reflect_in_metric,
 )
 from .metric import LocalMetric, local_covariance
 from .state import ChainState, StepOutcome

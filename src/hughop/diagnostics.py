@@ -23,6 +23,8 @@ from .exceptions import DegenerateSeriesError
 __all__ = ["ess", "ess_batch_means", "Trace", "RunSummary", "min_finite", "summarize_run"]
 
 MIN_SERIES_LENGTH = 100
+# the number of batches ess_batch_means splits a series into
+N_BATCHES = 50
 
 
 @lru_cache(maxsize=128)
@@ -101,14 +103,13 @@ def ess(series) -> float:
     return float(np.clip(n / tau, 1.0, n))
 
 
-def ess_batch_means(series, n_batches: int = 50) -> float:
-    """Batch-means ESS: n Var(x) / (batch_size Var(batch means))."""
+def ess_batch_means(series) -> float:
+    """Batch-means ESS over ``N_BATCHES`` batches:
+    n Var(x) / (batch_size Var(batch means))."""
     x = _check_series(series)
     n = x.size
-    if n_batches < 2 or n // n_batches < 2:
-        raise DegenerateSeriesError("too few observations per batch")
-    batch_size = n // n_batches
-    trimmed = x[: n_batches * batch_size].reshape(n_batches, batch_size)
+    batch_size = n // N_BATCHES  # at least 2, as n >= MIN_SERIES_LENGTH
+    trimmed = x[: N_BATCHES * batch_size].reshape(N_BATCHES, batch_size)
     means = trimmed.mean(axis=1)
     var_means = means.var(ddof=1)
     var_x = x.var(ddof=1)

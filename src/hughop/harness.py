@@ -106,12 +106,12 @@ def _hug_from_spec(spec: dict, where: str) -> HugKernel:
 
 
 def _hop_from_spec(spec: dict, dim: int | None, where: str) -> HopKernel:
-    lam = spec.pop("lambda", spec.pop("lam", None))
+    lam = spec.pop("lambda", None)
     if lam is None:
         lam = default_lam(dim) if dim else 1.0
     kwargs = dict(
         lam=_number(lam, f"{where}.lambda"),
-        use_hessian=_flag(spec.pop("hessian", spec.pop("use_hessian", False)), f"{where}.hessian"),
+        use_hessian=_flag(spec.pop("hessian", False), f"{where}.hessian"),
         eps=_floor(spec.pop("eps", 1e-6), f"{where}.eps"),
         guard=str(spec.pop("guard", "plus1")),
     )
@@ -141,11 +141,10 @@ def make_kernel(spec: dict, dim: int | None = None, where: str = "kernel"):
         elif name == "hop":
             built = _hop_from_spec(spec, dim, where)
         elif name == "hmc":
-            step_size = spec.pop("step_size", spec.pop("delta", 0.1))
             built = HmcKernel(
                 HmcParams(
                     n_steps=_integer(spec.pop("L", 10), f"{where}.L"),
-                    step_size=_number(step_size, f"{where}.step_size"),
+                    step_size=_number(spec.pop("step_size", 0.1), f"{where}.step_size"),
                     mass_matrix=spec.pop("mass_matrix", None),
                 )
             )
@@ -611,7 +610,6 @@ def stability_experiment(
     step: float,
     steps: int,
     seed: int = 0,
-    x0=None,
     divergence_threshold: float = 1e8,
 ) -> dict:
     """Track the log-density drift of the raw bounce loop, no accept/reject.
@@ -619,16 +617,11 @@ def stability_experiment(
     Returns the per-bounce drift ``delta[b] = l(x_b) - l(x_0)`` for
     b = 1..steps, plus a divergence flag when |delta| crosses the threshold
     (recorded, not fatal) and the index where the loop lost finiteness, if
-    it did.
+    it did.  The loop starts from an exact draw when the target has an
+    exact sampler, and from the origin otherwise.
     """
     rng = np.random.default_rng(seed)
-    if x0 is None:
-        x0 = (
-            target.sample_exact(rng, 1)[0]
-            if target.has_exact_sampler
-            else np.zeros(target.dim)
-        )
-    x = np.asarray(x0, dtype=float).copy()
+    x = target.sample_exact(rng, 1)[0] if target.has_exact_sampler else np.zeros(target.dim)
     v = rng.standard_normal(target.dim)
     logp0 = target.log_density(x)
     params = HugParams(total_time=step, n_bounces=1)

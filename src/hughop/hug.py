@@ -38,7 +38,6 @@ __all__ = [
     "HugParams",
     "HugTrajectory",
     "reflect",
-    "reflect_in_metric",
     "hug_trajectory",
     "hug_kernel_step",
     "HugKernel",
@@ -136,33 +135,16 @@ def reflect(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _reflect(v.copy(), g, g, float(g.dot(g)))
 
 
-def reflect_in_metric(
-    v: np.ndarray,
-    g: np.ndarray,
-    sigma: np.ndarray | LocalMetric,
-) -> np.ndarray:
-    """Reflection reshaped by an SPD covariance: v - 2 (v.g)/(g' S g) S g.
-
-    Equivalent to whitening with any factor of ``sigma``, reflecting, and
-    mapping back.  ``sigma`` is a dense matrix or a :class:`LocalMetric`,
-    whose S g comes from its spectral form.  A quadratic form g' S g at or
-    below ``state.ZERO_GRAD_TOL**2`` falls back to the identity.
-    """
-    v = np.asarray(v, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if not (np.isfinite(v).all() and np.isfinite(g).all()):
-        raise NonFiniteInputError("reflect_in_metric: non-finite input")
-    sg = sigma.cov_dot(g) if isinstance(sigma, LocalMetric) else sigma @ g
-    return _reflect(v.copy(), g, sg, float(g.dot(sg)))
-
-
 def _reflect(v: np.ndarray, g: np.ndarray, sg: np.ndarray, denom: float) -> np.ndarray:
-    """:func:`reflect_in_metric` without its checks, given ``sg`` = S g and
-    ``denom`` = g . sg; with ``sg`` = g it is :func:`reflect`.
+    """Reflection reshaped by an SPD covariance S, v - 2 (v . g) / (g' S g) S g,
+    given ``sg`` = S g and ``denom`` = g . sg, without checks; with ``sg`` = g
+    it is :func:`reflect`.  It equals whitening with any factor of S,
+    reflecting, and mapping back.
 
-    A non-finite ``denom`` falls back to the identity, so a finite gradient
-    whose g . sg overflows leaves ``v`` unreflected, and the caller must
-    already know that ``g`` is finite.
+    A ``denom`` at or below ``state.ZERO_GRAD_TOL**2`` returns ``v``
+    unchanged.  So does a non-finite one, so a finite gradient whose g . sg
+    overflows leaves ``v`` unreflected, and the caller must already know
+    that ``g`` is finite.
     """
     if not math.isfinite(denom) or denom <= ZERO_GRAD_TOL**2:
         return v

@@ -196,15 +196,14 @@ class RaschPosterior(TargetModel):
 
     name = "rasch"
 
-    def __init__(self, data: RaschData, pinned_value: float = 0.0):
+    def __init__(self, data: RaschData):
         self.data = data
         self.n_questions, self.n_subjects = data.responses.shape
         self.dim = (self.n_questions - 1) + self.n_subjects
-        self.pinned_value = float(pinned_value)
 
     def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (difficulties including the pinned first one, abilities)."""
-        difficulty = np.concatenate([[self.pinned_value], x[: self.n_questions - 1]])
+        difficulty = np.concatenate([[0.0], x[: self.n_questions - 1]])
         ability = x[self.n_questions - 1 :]
         return difficulty, ability
 
@@ -281,7 +280,7 @@ def _checked_distances(distances) -> np.ndarray:
 
 
 def gp_covariance(
-    theta, distances: np.ndarray, jitter: float = 0.0, *, check: bool = True
+    theta, distances: np.ndarray, *, check: bool = True
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Exponential-correlation GP covariance and a factor of it.
 
@@ -293,8 +292,9 @@ def gp_covariance(
     Raises:
         ValueError: when ``check`` is set and ``distances`` is not a square,
             nonnegative matrix with a zero diagonal.
-        FactorizationError: when Sigma is numerically singular (very large
-            ranges); the message suggests a diagonal jitter.
+        FactorizationError: when Sigma overflows or is numerically singular
+            (very large ranges), which the Gibbs sweep treats as a rejected
+            theta proposal.
     """
     rho, psi = float(theta[0]), float(theta[1])
     if check:
@@ -303,15 +303,10 @@ def gp_covariance(
         sigma = np.exp(rho - np.exp(-psi) * distances)
     if not np.all(np.isfinite(sigma)):
         raise FactorizationError("covariance overflowed; check theta")
-    if jitter:
-        sigma = sigma + jitter * np.eye(sigma.shape[0])
     try:
         chol_lower = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:
-        raise FactorizationError(
-            f"GP covariance is numerically singular ({exc}); consider a small "
-            "diagonal jitter"
-        ) from exc
+        raise FactorizationError(f"GP covariance is numerically singular ({exc})") from exc
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol_lower))))
     return sigma, chol_lower.T, log_det
 
@@ -404,9 +399,8 @@ class SpatialProbitModel:
     parameters).
     """
 
-    def __init__(self, data: SpatialData, jitter: float = 0.0, prior_only: bool = False):
+    def __init__(self, data: SpatialData, prior_only: bool = False):
         self.data = data
-        self.jitter = float(jitter)
         self.prior_only = prior_only
         self.distances = _checked_distances(grid_distances(data.n_rows, data.n_cols))
 
@@ -419,7 +413,7 @@ class SpatialProbitModel:
         return self.data.n_sites + 2
 
     def covariance(self, theta):
-        return gp_covariance(theta, self.distances, self.jitter, check=False)
+        return gp_covariance(theta, self.distances, check=False)
 
     def conditional_target(self, theta, a: np.ndarray | None = None) -> SpatialConditionalTarget:
         if a is None:
@@ -458,7 +452,9 @@ class GibbsSampler:
     recomputing the covariance factor on every proposal.  Factorisation
     failures at a proposed theta reject that proposal.  The joint density at
     the current theta is the field state's cached ``logp`` plus the theta
-    prior, so a sweep evaluates the joint density once, at the proposal.
+    prior, so a sweep evaluates the field's conditional density once, at the
+    proposal, and an accepted proposal keeps that value as the new field
+    state's ``logp``.
     """
 
     def __init__(self, model: SpatialProbitModel, inner_kernels, rwm_scale: float = 0.3):
@@ -468,12 +464,12 @@ class GibbsSampler:
         self.inner_kernels = list(inner_kernels)
         self.rwm_scale = float(rwm_scale)
 
-    def init_state(self, theta0=(0.0, 0.0), z0=None) -> GibbsState:
-        theta = np.asarray(theta0, dtype=float)
+    def init_state(self) -> GibbsState:
+        """The state at theta = 0 and a zero field."""
+        theta = np.zeros(2)
         _, a, _ = self.model.covariance(theta)
         target = self.model.conditional_target(theta, a)
-        z = np.zeros(self.model.field_dim) if z0 is None else np.asarray(z0, dtype=float)
-        return GibbsState(theta=theta, field_state=ChainState.at(target, z), a=a)
+        return GibbsState(theta=theta, field_state=ChainState.at(target, np.zeros(target.dim)), a=a)
 
     def step(self, state: GibbsState, rng: np.random.Generator) -> tuple[GibbsState, dict]:
         """One sweep; returns the new state and per-block acceptance flags."""
@@ -493,7 +489,8 @@ class GibbsSampler:
             log_ratio = None
             try:
                 _, a_prop, _ = self.model.covariance(proposal)
-                log_ratio = self.model.joint_log_density(proposal, z, a_prop) - (
+                logp_prop = self.model.conditional_target(proposal, a_prop)._log_density(z)
+                log_ratio = (logp_prop + self.model.theta_log_prior(proposal)) - (
                     field_state.logp + self.model.theta_log_prior(theta)
                 )
             except FactorizationError:
@@ -501,8 +498,7 @@ class GibbsSampler:
             if metropolis_accept(rng, log_acceptance(log_ratio)):
                 theta, a = proposal, a_prop
                 accepted_theta = True
-                target = self.model.conditional_target(theta, a)
-                field_state = ChainState.at(target, z)
+                field_state = ChainState(position=z, logp=logp_prop)
         info["theta_rwm"] = accepted_theta
         return GibbsState(theta=theta, field_state=field_state, a=a), info
 

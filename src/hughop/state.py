@@ -58,12 +58,9 @@ class ChainState:
     metric: LocalMetric | None = None
 
     @classmethod
-    def at(cls, target: TargetModel, x, with_grad: bool = False) -> "ChainState":
+    def at(cls, target: TargetModel, x) -> "ChainState":
         x = np.asarray(x, dtype=float)
-        state = cls(position=x, logp=target.log_density(x))
-        if with_grad:
-            state.grad = target.gradient(x)
-        return state
+        return cls(position=x, logp=target.log_density(x))
 
     def ensure_grad(self, target: TargetModel) -> np.ndarray:
         if self.grad is None:

@@ -148,7 +148,8 @@ def test_hmc_step_target_calls(mass, n_steps, rng):
     # from a state with a cached gradient, L steps cost L - 1 gradients and
     # one fused value and gradient at the endpoint, and nothing else
     target = CountingTarget(LG4)
-    state = ChainState.at(target, rng.standard_normal(4), with_grad=True)
+    state = ChainState.at(target, rng.standard_normal(4))
+    state.ensure_grad(target)
     params = HmcParams(n_steps=n_steps, step_size=0.15, mass_matrix=MASSES[mass])
     target.calls.clear()
     hmc_step(target, state, params, rng)
@@ -279,7 +280,8 @@ class TestMalaStep:
     def test_small_step_acceptance_approaches_one(self, rng):
         target = GaussianDiag(scales=1.0, dim=4)
         params = MalaParams(step_scale=1e-3)
-        state = ChainState.at(target, target.sample_exact(rng, 1)[0], with_grad=True)
+        state = ChainState.at(target, target.sample_exact(rng, 1)[0])
+        state.ensure_grad(target)
         accepted = 0
         n = 3000
         for _ in range(n):
@@ -290,7 +292,8 @@ class TestMalaStep:
     def test_stationary_moments(self, rng):
         target = GaussianDiag(scales=1.0, dim=5)
         params = MalaParams(step_scale=0.9)
-        state = ChainState.at(target, target.sample_exact(rng, 1)[0], with_grad=True)
+        state = ChainState.at(target, target.sample_exact(rng, 1)[0])
+        state.ensure_grad(target)
         draws = np.empty((30_000, 5))
         for i in range(draws.shape[0]):
             state, _ = mala_step(target, state, params, rng)

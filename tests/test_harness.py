@@ -78,6 +78,19 @@ class TestConfig:
                 {"kernel": "hug", "zero_grad_tol": 1e-9},
                 "kernels[0]: unknown parameters for kernel 'hug': ['zero_grad_tol']",
             ),
+            # the library's spellings of "lambda", "hessian" and "step_size"
+            (
+                {"kernel": "hop", "lam": 2.0},
+                "kernels[0]: unknown parameters for kernel 'hop': ['lam']",
+            ),
+            (
+                {"kernel": "hop", "use_hessian": True},
+                "kernels[0]: unknown parameters for kernel 'hop': ['use_hessian']",
+            ),
+            (
+                {"kernel": "hmc", "delta": 0.2},
+                "kernels[0]: unknown parameters for kernel 'hmc': ['delta']",
+            ),
         ],
     )
     def test_kernel_error_has_one_prefix(self, spec, message):

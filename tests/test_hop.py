@@ -281,7 +281,8 @@ class TestKernelStep:
     def test_step_moves_and_updates_cache(self, rng):
         target = GaussianDiag(scales=1.0, dim=4)
         p = HopParams(lam=1.5, kappa=0.5)
-        state = ChainState.at(target, target.sample_exact(rng, 1)[0], with_grad=True)
+        state = ChainState.at(target, target.sample_exact(rng, 1)[0])
+        state.ensure_grad(target)
         accepted = 0
         for _ in range(500):
             state, outcome = hop_kernel_step(target, state, p, rng)
@@ -293,7 +294,8 @@ class TestKernelStep:
     def test_raw_guard_at_mode_rejects_instead_of_crashing(self, rng):
         target = GaussianDiag(scales=1.0, dim=2)
         p = HopParams(lam=1.5, kappa=0.5, guard="raw")
-        state = ChainState.at(target, np.zeros(2), with_grad=True)
+        state = ChainState.at(target, np.zeros(2))
+        state.ensure_grad(target)
         state, outcome = hop_kernel_step(target, state, p, rng)
         assert not outcome.accepted
 
@@ -308,7 +310,8 @@ class TestKernelStep:
 
         p_hess = HopParams(lam=1.5, kappa=0.5, use_hessian=True)
         rng_h = np.random.default_rng(7)
-        state_h = ChainState.at(aniso, scales * z0, with_grad=True)
+        state_h = ChainState.at(aniso, scales * z0)
+        state_h.ensure_grad(aniso)
         flags_h = []
         for _ in range(2000):
             state_h, outcome = hop_kernel_step(aniso, state_h, p_hess, rng_h)
@@ -316,7 +319,8 @@ class TestKernelStep:
 
         p_plain = HopParams(lam=1.5, kappa=0.5)
         rng_p = np.random.default_rng(7)
-        state_p = ChainState.at(iso, z0, with_grad=True)
+        state_p = ChainState.at(iso, z0)
+        state_p.ensure_grad(iso)
         flags_p = []
         for _ in range(2000):
             state_p, outcome = hop_kernel_step(iso, state_p, p_plain, rng_p)

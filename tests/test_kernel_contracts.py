@@ -227,7 +227,8 @@ POISONED_CASES = [
 def test_non_finite_proposal_rejects_with_the_same_warnings(label, poison, caplog):
     target = Poisoned([0.3, -0.2, 0.5], poison)
     kernel = make_kernel(kernel_specs(3)[label], dim=3, where=label)
-    state = ChainState.at(target, target.start, with_grad=True)
+    state = ChainState.at(target, target.start)
+    state.ensure_grad(target)
     with caplog.at_level(logging.WARNING, logger="hughop"):
         new_state, outcome = kernel.step(target, state, np.random.default_rng(0))
     assert not outcome.accepted

@@ -12,7 +12,9 @@ from hughop.model_runs import _gibbs_block, run_gibbs
 from hughop.models import (
     CauchitPosterior,
     GibbsSampler,
+    GibbsState,
     RaschPosterior,
+    SpatialConditionalTarget,
     SpatialProbitModel,
     cauchit_inverse_link,
     gp_covariance,
@@ -23,6 +25,7 @@ from hughop.models import (
     simulate_rasch,
     simulate_spatial,
 )
+from hughop.state import ChainState
 
 from conftest import fd_gradient, fd_jacobian, rel_err
 
@@ -109,17 +112,14 @@ class TestRasch:
             assert rel_err(fd_jacobian(post.gradient, x), post.hessian(x)) < 1e-4
 
     def test_pinned_difficulty_is_honoured(self, rng):
+        # the state vector never carries the first difficulty, pinned at zero
         data = simulate_rasch(5, 8, 1.0, rng)
-        base = RaschPosterior(data)
-        shifted = RaschPosterior(data, pinned_value=0.7)
-        x = rng.standard_normal(base.dim)
-        # moving the pin changes the posterior: the state vector never
-        # carries the pinned coordinate, so the difference is data-dependent
-        assert base.log_density(x) != pytest.approx(shifted.log_density(x))
-        difficulty, _ = base.split(x)
+        post = RaschPosterior(data)
+        x = rng.standard_normal(post.dim)
+        difficulty, ability = post.split(x)
         assert difficulty[0] == 0.0
-        difficulty_s, _ = shifted.split(x)
-        assert difficulty_s[0] == 0.7
+        np.testing.assert_array_equal(difficulty[1:], x[: data.responses.shape[0] - 1])
+        np.testing.assert_array_equal(ability, x[data.responses.shape[0] - 1 :])
 
 
 class TestGpCovariance:
@@ -141,14 +141,11 @@ class TestGpCovariance:
         np.testing.assert_allclose(a.T @ a, sigma, atol=1e-12)
         assert log_det == pytest.approx(np.linalg.slogdet(sigma)[1], rel=1e-9)
 
-    def test_singular_covariance_suggests_jitter(self):
+    def test_singular_covariance_raises(self):
         # a huge range collapses the covariance to the ones matrix
         d = grid_distances(4, 4)
-        with pytest.raises(FactorizationError, match="jitter"):
+        with pytest.raises(FactorizationError, match="numerically singular"):
             gp_covariance((0.0, 40.0), d)
-        # a small jitter rescues the factorisation
-        sigma, a, _ = gp_covariance((0.0, 40.0), d, jitter=1e-8)
-        np.testing.assert_allclose(a.T @ a, sigma, atol=1e-10)
 
     def test_distance_validation(self):
         with pytest.raises(ValueError):
@@ -207,9 +204,12 @@ class TestSpatialConditional:
 class TestGibbs:
     def test_zero_theta_scale_keeps_theta_fixed(self, rng):
         data = simulate_spatial(2, 2, np.log(2.0), np.log(0.2), 1.0, rng)
-        sampler = GibbsSampler(SpatialProbitModel(data), inner_hug_hop(), rwm_scale=0.0)
-        state = sampler.init_state(theta0=(0.1, -0.2))
-        z0 = state.field_state.position.copy()
+        model = SpatialProbitModel(data)
+        sampler = GibbsSampler(model, inner_hug_hop(), rwm_scale=0.0)
+        theta = np.array([0.1, -0.2])
+        _, a, _ = model.covariance(theta)
+        z0 = np.zeros(model.field_dim)
+        state = GibbsState(theta, ChainState.at(model.conditional_target(theta, a), z0), a)
         moved = False
         for _ in range(50):
             state, info = sampler.step(state, rng)
@@ -323,26 +323,40 @@ class TestGibbsRecord:
                 assert logpi == model.joint_log_density(theta, z, a)
 
     def test_joint_log_density_is_evaluated_once_per_sweep(self, monkeypatch):
-        # the joint density at the current theta is the field state's cached
-        # logp plus the theta prior: a sweep evaluates it at the proposal
-        # only, and recording a row evaluates nothing
+        # a sweep builds two conditional targets, one at the current theta
+        # for the field kernels and one at the proposal, whose density it
+        # evaluates once; an accepted theta keeps that value as the field
+        # state's logp, so sweeps make no public log_density call
         data = simulate_spatial(3, 3, np.log(2.0), np.log(0.2), 1.0, np.random.default_rng(30))
         model = SpatialProbitModel(data)
-        calls = []
-        joint = model.joint_log_density
-        monkeypatch.setattr(model, "joint_log_density", lambda *a: calls.append(a) or joint(*a))
+        built, evaluated = [], []
+        build = model.conditional_target
+        monkeypatch.setattr(model, "conditional_target", lambda *a: built.append(a) or build(*a))
+        log_density = SpatialConditionalTarget.log_density
+        monkeypatch.setattr(
+            SpatialConditionalTarget,
+            "log_density",
+            lambda target, z: evaluated.append(z) or log_density(target, z),
+        )
         sampler = GibbsSampler(model, inner_hug_hop(), rwm_scale=0.4)
         state = sampler.init_state()
+        built.clear()
+        evaluated.clear()
         rng = np.random.default_rng(32)
+        accepted = 0
         for sweep in range(1, 21):
-            state, _ = sampler.step(state, rng)
-            assert len(calls) == sweep
-        calls.clear()
-        run_gibbs(model, inner_hug_hop(), 40, rng, burn_in=10, rwm_scale=0.4)
-        assert len(calls) == 40
-        calls.clear()
-        run_gibbs(model, inner_hug_hop(), 40, rng, burn_in=10, rwm_scale=0.0)
-        assert calls == []
+            state, info = sampler.step(state, rng)
+            accepted += info["theta_rwm"]
+            assert len(built) == 2 * sweep
+        assert accepted > 0
+        assert evaluated == []
+        for rwm_scale, per_sweep in ((0.4, 2), (0.0, 1)):
+            built.clear()
+            run_gibbs(model, inner_hug_hop(), 40, rng, burn_in=10, rwm_scale=rwm_scale)
+            # the start state's target and logp, then the sweeps
+            assert len(built) == 1 + 40 * per_sweep
+            assert len(evaluated) == 1
+            evaluated.clear()
 
     def test_accept_has_one_flag_array_per_block(self):
         _, (trace, summary, _) = self._run()
