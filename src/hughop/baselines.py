@@ -273,8 +273,9 @@ def mala_step(
             y_logp, y_grad = target._value_and_grad(y)
             if math.isfinite(y_logp) and all_finite(y_grad):
                 mean_rev = y + 0.5 * s**2 * y_grad
-                fwd = -0.5 * float(np.sum((y - mean_fwd) ** 2)) / s**2
-                rev = -0.5 * float(np.sum((x - mean_rev) ** 2)) / s**2
+                d_fwd, d_rev = y - mean_fwd, x - mean_rev
+                fwd = -0.5 * float(d_fwd.dot(d_fwd)) / s**2
+                rev = -0.5 * float(d_rev.dot(d_rev)) / s**2
                 log_ratio = y_logp - state.logp + rev - fwd
         else:
             logger.warning("mala: non-finite drift; rejecting")

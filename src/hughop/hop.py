@@ -16,7 +16,6 @@ the closed-form expansions survive in the test-suite as oracles.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -84,15 +83,6 @@ def default_lam(dim: int) -> float:
     return 0.25 * float(np.sqrt(dim))
 
 
-@functools.lru_cache(maxsize=256)
-def _log(value: float) -> float:
-    """np.log of a kernel constant, computed once per value.
-
-    np.log rather than math.log keeps the rounding of the uncached form.
-    """
-    return float(np.log(value))
-
-
 def _guard_scale_sq(grad_norm_sq: float, guard: str) -> float:
     """The variance multiplier s^2 for a squared gradient norm."""
     if guard == "raw":
@@ -136,17 +126,17 @@ def _whitened_log_density(
     wn2 = float(w_t.dot(w_t))
     if gn2 <= ZERO_GRAD_TOL**2:
         quad = wn2 / params.mu**2 / s_sq
-        log_det = d * np.log(s_sq) + 2.0 * d * _log(params.mu)
+        log_det = d * np.log(s_sq) + 2.0 * d * math.log(params.mu)
     else:
         dot = float(w_t.dot(g_t))
         along_sq = dot * dot / gn2  # (ghat . w)^2
         quad = (wn2 / params.mu**2 + (1.0 / params.lam**2 - 1.0 / params.mu**2) * along_sq) / s_sq
         log_det = (
             d * np.log(s_sq)
-            + 2.0 * _log(params.lam)
-            + 2.0 * (d - 1) * _log(params.mu)
+            + 2.0 * math.log(params.lam)
+            + 2.0 * (d - 1) * math.log(params.mu)
         )
-    return float(-0.5 * quad - 0.5 * log_det - 0.5 * d * _log(2.0 * np.pi))
+    return float(-0.5 * quad - 0.5 * log_det - 0.5 * d * math.log(2.0 * np.pi))
 
 
 def hop_propose(

@@ -10,13 +10,13 @@ A = diag(sqrt s) V' satisfies A' A = Sigma, which is the only property the
 reflection and whitening algebra relies on, so every product the kernels
 need (whitening, Sigma g, A g) costs O(d^2) and no further cubic step runs.
 
-A diagonal Hessian, given either as the (d,) vector of its diagonal (as
-the product-form targets return it) or as a matrix whose off-diagonal
-entries are all exactly zero, is its own eigendecomposition: it needs no
+A diagonal Hessian, given as the (d,) vector of its diagonal (as the
+product-form targets return it), is its own eigendecomposition: it needs no
 ``eigh``, V is the identity and is not stored, and every product is
-elementwise, O(d).  The log-determinant and the square roots of s are
-computed on first use, since a hug bounce needs only Sigma g; a bounce off
-a diagonal Hessian vector builds no metric at all (:func:`diagonal_cov_dot`).
+elementwise, O(d).  A d x d matrix always goes through ``eigh``, diagonal
+or not.  The log-determinant and the square roots of s are computed on
+first use, since a hug bounce needs only Sigma g; a bounce off a diagonal
+Hessian vector builds no metric at all (:func:`diagonal_cov_dot`).
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ class LocalMetric:
             ``None`` when V is the identity (a diagonal Hessian), in which
             case every product below is elementwise.
         regularized: True when the spectral-regularisation branch was taken.
-        log_det_order: for a diagonal Hessian, the Hessian diagonal, whose
-            ascending order the log-determinant is summed in (the order
-            ``eigh`` would have listed the eigenvalues in); ``None`` when
-            ``eigvals`` are already in that order.
         eps: the regularisation floor the metric was built with, which keys
             the chain state's metric cache; ``None`` when not built by
             :func:`local_covariance`.
@@ -62,7 +58,6 @@ class LocalMetric:
     eigvals: np.ndarray
     eigvecs: np.ndarray | None
     regularized: bool = False
-    log_det_order: np.ndarray | None = field(default=None, repr=False, compare=False)
     eps: float | None = None
     _log_det: float | None = field(default=None, init=False, repr=False, compare=False)
     _root_s: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -72,10 +67,7 @@ class LocalMetric:
     def log_det(self) -> float:
         """log determinant of Sigma, the sum of log s."""
         if self._log_det is None:
-            log_s = np.log(self.eigvals)
-            if self.log_det_order is not None:
-                log_s = log_s[np.argsort(self.log_det_order)]
-            self._log_det = float(np.sum(log_s))
+            self._log_det = float(np.sum(np.log(self.eigvals)))
         return self._log_det
 
     @property
@@ -207,14 +199,12 @@ def local_covariance(hess: np.ndarray, eps: float = 1e-6) -> LocalMetric:
     positive definiteness.  No continuity across the branch switch is
     claimed; Metropolis corrections remain exact regardless.
 
-    A diagonal Hessian skips ``eigh``: its eigenvalues are the diagonal and
-    its eigenvectors the coordinate axes, kept in coordinate order so that
+    A diagonal Hessian passed as the (d,) vector of its diagonal skips
+    ``eigh`` and every O(d^2) step: its eigenvalues are the diagonal and its
+    eigenvectors the coordinate axes, kept in coordinate order so that
     whitened coordinates are the original ones, and the metric works
-    elementwise (``eigvecs`` is ``None``).  It may be passed as the (d,)
-    vector of its diagonal, which skips every O(d^2) step, or as a matrix
-    whose off-diagonal entries are all exactly zero.  The log-determinant,
-    computed on first use, is summed in ascending Hessian-eigenvalue order,
-    as it is for the ``eigh`` result.
+    elementwise (``eigvecs`` is ``None``).  A d x d ``hess`` goes through
+    ``eigh`` even when it is diagonal.
 
     Args:
         hess: symmetric d x d Hessian of the log-density, or the (d,)
@@ -228,22 +218,14 @@ def local_covariance(hess: np.ndarray, eps: float = 1e-6) -> LocalMetric:
         ValueError: if ``eps`` is not finite and positive.
     """
     hess = np.asarray(hess, dtype=float)
-    if hess.ndim == 1:
-        diag, diagonal = hess, True
-    elif hess.ndim != 2 or hess.shape[0] != hess.shape[1]:
+    if hess.ndim != 1 and (hess.ndim != 2 or hess.shape[0] != hess.shape[1]):
         raise FactorizationError(f"Hessian must be square, got shape {hess.shape}")
-    else:
-        diag = hess.diagonal()
-        # count_nonzero counts NaN as nonzero, so a Hessian that passes this
-        # test has exactly-zero off-diagonal entries and only its diagonal
-        # can be non-finite; it is also symmetric
-        diagonal = np.count_nonzero(hess) == np.count_nonzero(diag)
-    if not np.isfinite(diag if diagonal else hess).all():
+    if not np.isfinite(hess).all():
         raise NonFiniteInputError(NON_FINITE_HESSIAN)
     check_floor(eps)
 
-    if diagonal:
-        eigvals, eigvecs = diag, None
+    if hess.ndim == 1:
+        eigvals, eigvecs = hess, None
     else:
         asym = np.max(np.abs(hess - hess.T)) if hess.size else 0.0
         if asym > 1e-8:
@@ -251,11 +233,4 @@ def local_covariance(hess: np.ndarray, eps: float = 1e-6) -> LocalMetric:
         eigvals, eigvecs = np.linalg.eigh(0.5 * (hess + hess.T))
 
     sigma_eigs, regularized = _cov_eigvals(eigvals, eps)
-    return LocalMetric(
-        eigvals=sigma_eigs,
-        eigvecs=eigvecs,
-        regularized=regularized,
-        # a copy, so that the caller may reuse its array
-        log_det_order=diag.copy() if diagonal else None,
-        eps=eps,
-    )
+    return LocalMetric(eigvals=sigma_eigs, eigvecs=eigvecs, regularized=regularized, eps=eps)

@@ -385,7 +385,7 @@ class SpatialConditionalTarget(TargetModel):
 
     def _hessian(self, z):
         if self.prior_only:
-            return -np.eye(self.dim)
+            return -np.ones(self.dim)  # the diagonal of -I
         md = _mills_derivative(self._signed_field(z))
         return (self.a * md) @ self.a.T - np.eye(self.dim)
 

@@ -144,7 +144,7 @@ def test_cached_state_matches_target_after_every_step(name):
                 state.grad, target.gradient(state.position)), where
             if state.metric is not None:
                 with_metric += 1
-                fresh = local_covariance(target.hessian(state.position), state.metric.eps)
+                fresh = local_covariance(target._hessian(state.position), state.metric.eps)
                 assert _same_metric(state.metric, fresh), where
     assert accepted > 0
     assert with_metric > 0

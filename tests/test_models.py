@@ -178,6 +178,10 @@ class TestSpatialConditional:
         z = rng.standard_normal(4)
         assert target.log_density(z) == pytest.approx(-0.5 * z @ z)
         np.testing.assert_allclose(target.gradient(z), -z)
+        # the Hessian -I comes as the vector of its diagonal, as every
+        # diagonal target's does, so that its local metric needs no eigh
+        np.testing.assert_array_equal(target._hessian(z), -np.ones(4))
+        np.testing.assert_array_equal(target.hessian(z), -np.eye(4))
 
     def test_whitened_prior_chain_has_unit_variances(self):
         # ignoring the data, the whitened field is exactly N(0, I); a
