@@ -1,5 +1,5 @@
 """Reference kernels: HMC with a leapfrog integrator, random-walk
-Metropolis (optionally with a local Hessian covariance), and MALA."""
+Metropolis (optionally with a fixed or a local Hessian covariance), and MALA."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import FactorizationError, HugHopError, NonFiniteInputError, TrajectoryError
-from .metric import check_floor, checked_factor, local_covariance
+from .metric import LocalMetric, check_floor, fixed_metric, local_covariance
 from .state import ChainState, Kernel, StepOutcome, all_finite, finish_step
 from .targets import TargetModel
 
@@ -35,18 +35,15 @@ class HmcParams:
     """Leapfrog steps, step size and mass matrix; trajectory time is n_steps * step_size.
 
     ``mass_matrix`` is ``None`` (the identity), a vector of positive
-    diagonal entries, or a symmetric positive-definite matrix.  It is
-    validated and stored as a dense matrix at construction, and its factor
-    (see :func:`~hughop.metric.checked_factor`) and its inverse, which the
-    drift and the kinetic energy apply, are computed once into
-    ``mass_factor`` and ``inverse_mass``.
+    diagonal entries, or a symmetric positive-definite matrix, built once
+    into ``metric`` (see :func:`~hughop.metric.fixed_metric`); a vector
+    stays elementwise, so a diagonal mass costs O(d) a step.
     """
 
     n_steps: int
     step_size: float
     mass_matrix: np.ndarray | None = None
-    mass_factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    inverse_mass: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    metric: LocalMetric | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_steps < 0 or int(self.n_steps) != self.n_steps:
@@ -54,11 +51,8 @@ class HmcParams:
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
         if self.mass_matrix is not None:
-            mass = np.asarray(self.mass_matrix, dtype=float)
-            mass, a0 = checked_factor(np.diag(mass) if mass.ndim == 1 else mass, "mass_matrix")
-            object.__setattr__(self, "mass_matrix", mass)
-            object.__setattr__(self, "mass_factor", a0)
-            object.__setattr__(self, "inverse_mass", np.linalg.inv(mass))
+            object.__setattr__(self, "mass_matrix", np.asarray(self.mass_matrix, dtype=float))
+            object.__setattr__(self, "metric", fixed_metric(self.mass_matrix, "mass_matrix"))
 
 
 @dataclass(frozen=True)
@@ -68,15 +62,15 @@ class RwmParams:
     ``local_cov`` is ``"none"`` (isotropic), ``"fixed"`` (covariance ``cov``)
     or ``"hessian"`` (local covariance from the Hessian, with the finite
     positive floor ``eps``).
-    A fixed ``cov`` must be a symmetric positive-definite matrix; its factor
-    is computed once, at construction, into ``cov_factor``.
+    A fixed ``cov``, a positive vector or an SPD matrix, is built once into
+    ``metric`` (see :func:`~hughop.metric.fixed_metric`).
     """
 
     step_scale: float
     local_cov: str = "none"
     cov: np.ndarray | None = None
     eps: float = 1e-6
-    cov_factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    metric: LocalMetric | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.step_scale <= 0:
@@ -86,9 +80,8 @@ class RwmParams:
         if self.local_cov == "fixed":
             if self.cov is None:
                 raise ValueError("local_cov='fixed' requires cov")
-            cov, a0 = checked_factor(self.cov, "cov")
-            object.__setattr__(self, "cov", cov)
-            object.__setattr__(self, "cov_factor", a0)
+            object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
+            object.__setattr__(self, "metric", fixed_metric(self.cov, "cov"))
         check_floor(self.eps)
 
 
@@ -113,10 +106,10 @@ def leapfrog(
     """Run n_steps of the half-kick / drift / half-kick integrator.
 
     Momenta follow p ~ N(0, M) with kinetic energy p' M^-1 p / 2, so the
-    drift is x += step_size * M^-1 p, with M^-1 the cached
-    ``params.inverse_mass``.  The two half-kicks that meet between steps
-    are taken as one full kick (Neal 2011), so a step is a drift, a
-    gradient and one kick, between a half-kick at each end.  ``grad`` is
+    drift is x += step_size * M^-1 p, with M the metric ``params.metric``.
+    The two half-kicks that meet between steps are taken as one full kick
+    (Neal 2011), so a step is a drift, a gradient and one kick, between a
+    half-kick at each end.  ``grad`` is
     the log-density gradient at ``x`` when the caller has it; otherwise it
     is evaluated.  Returns the final position, momentum and gradient, and
     the log-density there: the last step evaluates it with its gradient
@@ -153,14 +146,13 @@ def _leapfrog_loop(target, x, p, g, params: HmcParams, checked: bool):
     momentum, so the trusted gradient only sees checked positions."""
     delta = params.step_size
     half = 0.5 * delta
-    # a drift with a mass costs one product, as one without does
-    drift = None if params.inverse_mass is None else delta * params.inverse_mass
+    inv_dot = None if params.metric is None else params.metric.inv_dot  # M^-1 p
     last = params.n_steps - 1
     if last < 0:
         return x, p, g, target._log_density(x)
     p = p + half * g
     for step in range(params.n_steps):
-        x = x + (delta * p if drift is None else drift.dot(p))
+        x = x + delta * (p if inv_dot is None else inv_dot(p))
         if checked and not all_finite(x):
             raise TrajectoryError("non-finite position in leapfrog", step)
         if step < last:
@@ -189,9 +181,9 @@ def hmc_step(
     its last gradient.
     """
     x = state.position
-    inverse_mass = params.inverse_mass
+    mass = params.metric
     z = rng.standard_normal(x.size)
-    p0 = z if inverse_mass is None else params.mass_factor.T.dot(z)
+    p0 = z if mass is None else mass.unwhiten(z)
     kinetic0 = 0.5 * float(z.dot(z))  # p0' M^-1 p0 / 2 computed in whitened form
 
     proposal = x.copy()
@@ -200,8 +192,7 @@ def hmc_step(
     try:
         y, p1, y_grad, y_logp = leapfrog(target, x, p0, params, state.ensure_grad(target))
         with np.errstate(over="ignore", invalid="ignore"):
-            q1 = p1 if inverse_mass is None else inverse_mass.dot(p1)
-            kinetic1 = 0.5 * float(p1.dot(q1))
+            kinetic1 = 0.5 * (float(p1.dot(p1)) if mass is None else mass.quad_inv(p1))
         energy_error = (y_logp - kinetic1) - (state.logp - kinetic0)
         proposal = y
     except (TrajectoryError, NonFiniteInputError) as exc:
@@ -230,13 +221,10 @@ def rwm_step(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             correction = 0.0
-            if params.local_cov == "none":
-                y = x + s * z
-            elif params.local_cov == "fixed":
-                y = x + s * (params.cov_factor.T @ z)
-            else:
+            metric_x = params.metric  # the fixed covariance, or None
+            if params.local_cov == "hessian":
                 metric_x = state.ensure_metric(target, params.eps, local_covariance)
-                y = x + s * metric_x.unwhiten(z)
+            y = x + s * (z if metric_x is None else metric_x.unwhiten(z))
             target._validate(y)  # y is checked once; the trusted methods follow
             if params.local_cov == "hessian":
                 metric_y = local_covariance(target._hessian(y), params.eps)

@@ -100,9 +100,7 @@ def _hug_from_spec(spec: dict, where: str) -> HugKernel:
         eps=_floor(spec.pop("eps", 1e-6), f"{where}.eps"),
         velocity=str(spec.pop("velocity", "local")),
     )
-    if "precond_cov" in spec:
-        kwargs["precond_cov"] = np.asarray(spec.pop("precond_cov"), dtype=float)
-    return HugKernel(HugParams(**kwargs))
+    return HugKernel(HugParams(**kwargs, precond_cov=spec.pop("precond_cov", None)))
 
 
 def _hop_from_spec(spec: dict, dim: int | None, where: str) -> HopKernel:
@@ -126,7 +124,8 @@ def make_kernel(spec: dict, dim: int | None = None, where: str = "kernel"):
     """Build a kernel from a config mapping like ``{"kernel": "hug", ...}``.
 
     A malformed or out-of-range value raises :class:`ConfigError` naming
-    ``where``, or the entry below it.
+    ``where``, or the entry below it.  Given ``dim``, a fixed covariance
+    must be (dim,) or (dim, dim).
     """
     if not isinstance(spec, dict):
         raise ConfigError(where, f"must be a mapping, got {spec!r}")
@@ -148,16 +147,12 @@ def make_kernel(spec: dict, dim: int | None = None, where: str = "kernel"):
                     mass_matrix=spec.pop("mass_matrix", None),
                 )
             )
-            mass = built.params.mass_matrix
-            if mass is not None and dim is not None and mass.shape != (dim, dim):
-                raise ValueError(f"mass_matrix must be {dim}x{dim}, got shape {mass.shape}")
         elif name == "rwm":
-            cov = spec.pop("cov", None)
             built = RwmKernel(
                 RwmParams(
                     step_scale=_number(spec.pop("step_scale", 1.0), f"{where}.step_scale"),
                     local_cov=str(spec.pop("local_cov", "none")),
-                    cov=None if cov is None else np.asarray(cov, dtype=float),
+                    cov=spec.pop("cov", None),
                     eps=_floor(spec.pop("eps", 1e-6), f"{where}.eps"),
                 )
             )
@@ -166,6 +161,11 @@ def make_kernel(spec: dict, dim: int | None = None, where: str = "kernel"):
             built = MalaKernel(MalaParams(step_scale=step_scale))
         else:
             built = None
+        fixed = {"hug": "precond_cov", "hmc": "mass_matrix", "rwm": "cov"}.get(name)
+        metric = built.params.metric if fixed else None
+        if metric is not None and dim not in (None, metric.eigvals.size):
+            shape = getattr(built.params, fixed).shape
+            raise ValueError(f"{fixed} must be ({dim},) or ({dim}, {dim}), got shape {shape}")
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:

@@ -12,8 +12,8 @@ the kernel exact.
 Three bounce modes are provided:
 
 * ``plain``: reflections in the Euclidean metric, velocity drawn N(0, I).
-* ``precond``: a fixed covariance reshapes both the velocity draw and the
-  reflections.
+* ``precond``: a fixed covariance, a metric built once, reshapes both the
+  velocity draw and the reflections.
 * ``hessian``: every bounce uses the local covariance built from the Hessian
   at the bounce point, and the velocity is drawn from the local covariance
   at the current state (an isotropic draw is available as an option).  The
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import FactorizationError, HugHopError, NonFiniteInputError, TrajectoryError
-from .metric import LocalMetric, check_floor, checked_factor, diagonal_cov_dot, local_covariance
+from .metric import LocalMetric, check_floor, diagonal_cov_dot, fixed_metric, local_covariance
 from .state import ZERO_GRAD_TOL, ChainState, Kernel, StepOutcome, all_finite, finish_step
 from .targets import TargetModel
 
@@ -62,17 +62,14 @@ class HugParams:
         n_bounces: number of bounce steps; the step size is
             ``total_time / n_bounces`` (plain division).
         mode: one of ``plain``, ``precond``, ``hessian``.
-        precond_cov: fixed SPD covariance, required in ``precond`` mode.
+        precond_cov: a positive vector or an SPD matrix, required in
+            ``precond`` mode.
         eps: regularisation floor for the local metric (``hessian`` mode),
             finite and positive.
         velocity: ``local`` draws the velocity from the local covariance,
             ``isotropic`` from N(0, I) (``hessian`` mode only).
-        precond_factor: the factor A of ``precond_cov`` (see
-            :func:`~hughop.metric.checked_factor`), computed once at
-            construction; not an argument.
-        precond_whitener: the inverse of ``precond_factor.T``, which maps a
-            velocity A' z back to z; computed once at construction; not an
-            argument.
+        metric: ``precond_cov`` built once (see
+            :func:`~hughop.metric.fixed_metric`); not an argument.
     """
 
     total_time: float
@@ -81,12 +78,7 @@ class HugParams:
     precond_cov: np.ndarray | None = None
     eps: float = 1e-6
     velocity: str = "local"
-    precond_factor: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    precond_whitener: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    metric: LocalMetric | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.total_time < 0:
@@ -98,10 +90,8 @@ class HugParams:
         if self.mode == "precond":
             if self.precond_cov is None:
                 raise ValueError("precond mode requires precond_cov")
-            cov, a0 = checked_factor(self.precond_cov, "precond_cov")
-            object.__setattr__(self, "precond_cov", cov)
-            object.__setattr__(self, "precond_factor", a0)
-            object.__setattr__(self, "precond_whitener", np.linalg.inv(a0.T))
+            object.__setattr__(self, "precond_cov", np.asarray(self.precond_cov, dtype=float))
+            object.__setattr__(self, "metric", fixed_metric(self.precond_cov, "precond_cov"))
         if self.velocity not in ("local", "isotropic"):
             raise ValueError("velocity must be 'local' or 'isotropic'")
         check_floor(self.eps)
@@ -166,7 +156,8 @@ def _bounce_loop(
 
     The loop calls the target's trusted methods and the inner reflections;
     in ``hessian`` mode one ``_grad_and_hessian`` call gives both values,
-    and a (d,) Hessian diagonal gives S g with no metric built.  ``checked``
+    and a (d,) Hessian diagonal gives S g with no metric built; otherwise S
+    is ``params.metric``, or the identity when it is ``None``.  ``checked``
     raises at the first non-finite bounce point, gradient or velocity, so
     every call sees inputs checked one sub-move earlier.  Unchecked, the
     loop tests only what a non-finite value could hide: a gradient whose
@@ -180,30 +171,28 @@ def _bounce_loop(
     """
     step = params.step
     half = 0.5 * step
-    mode = params.mode
+    hessian = params.mode == "hessian"
+    fixed = params.metric
     last = params.n_bounces - 1
     zero_grad = 0
     x = x + half * v
     for b in range(params.n_bounces):
         if checked and not np.isfinite(x).all():
             raise TrajectoryError("non-finite bounce point", b)
-        if mode == "hessian":
+        if hessian:
             g, h = target._grad_and_hessian(x)
         else:
             g = target._gradient(x)
         gg = float(g.dot(g))
         if (checked or not math.isfinite(gg)) and not np.isfinite(g).all():
             raise TrajectoryError("non-finite gradient at bounce point", b)
-        if mode == "plain":
-            sg, size = g, gg  # size: what the zero-gradient test reads
+        if not hessian:
+            sg = g if fixed is None else fixed.cov_dot(g)
+        elif h.ndim == 1:
+            sg = diagonal_cov_dot(h, g, params.eps)
         else:
-            if mode == "precond":
-                sg = params.precond_cov @ g
-            elif h.ndim == 1:
-                sg = diagonal_cov_dot(h, g, params.eps)
-            else:
-                sg = local_covariance(h, params.eps).cov_dot(g)
-            size = float(g.dot(sg))
+            sg = local_covariance(h, params.eps).cov_dot(g)
+        size = gg if sg is g else float(g.dot(sg))  # what the zero-gradient test reads
         v = _reflect(v, g, sg, size)
         if size <= ZERO_GRAD_TOL**2:
             zero_grad += 1
@@ -272,17 +261,17 @@ def _draw_velocity(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
     """Sample v0 ~ q(.|x0) at the state's position x0 and return
-    (v0, log q(v0|x0)); the local metric comes from the state's cache.
+    (v0, log q(v0|x0)); a local metric comes from the state's cache.
 
     The returned log-density drops the dimension constant, which cancels in
     the acceptance ratio.
     """
     z = rng.standard_normal(state.position.size)
-    if params.mode == "plain" or (params.mode == "hessian" and params.velocity == "isotropic"):
+    metric = params.metric
+    if params.mode == "hessian" and params.velocity == "local":
+        metric = state.ensure_metric(target, params.eps, local_covariance)
+    if metric is None:
         return z, -0.5 * float(z.dot(z))
-    if params.mode == "precond":
-        return params.precond_factor.T @ z, -0.5 * float(z.dot(z))
-    metric = state.ensure_metric(target, params.eps, local_covariance)
     return metric.unwhiten(z), -0.5 * float(z.dot(z)) - 0.5 * metric.log_det
 
 
@@ -294,13 +283,11 @@ def _velocity_log_density(
 ) -> tuple[float, LocalMetric | None]:
     """log q(v|x) under the mode's velocity distribution (constants dropped),
     and the local metric at x when the distribution uses one."""
-    if params.mode == "plain" or (params.mode == "hessian" and params.velocity == "isotropic"):
+    local = params.mode == "hessian" and params.velocity == "local"
+    metric = local_covariance(target._hessian(x), params.eps) if local else params.metric
+    if metric is None:
         return -0.5 * float(v.dot(v)), None
-    if params.mode == "precond":
-        w = params.precond_whitener @ v
-        return -0.5 * float(w.dot(w)), None
-    metric = local_covariance(target._hessian(x), params.eps)
-    return -0.5 * metric.quad_inv(v) - 0.5 * metric.log_det, metric
+    return -0.5 * metric.quad_inv(v) - 0.5 * metric.log_det, metric if local else None
 
 
 def hug_kernel_step(

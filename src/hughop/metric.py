@@ -1,22 +1,23 @@
-"""Position-dependent covariance built from the local Hessian.
+"""One metric type for every covariance a kernel uses.
 
-When the negative Hessian is safely positive definite the local covariance
-is its inverse; otherwise curvature magnitudes are kept through a spectral
-regularisation so the result is always usable as a proposal covariance.
+A local covariance is built from the Hessian: the inverse of the negative
+Hessian when that is safely positive definite, a spectral regularisation
+otherwise.  A fixed covariance (hug's ``precond_cov``, HMC's
+``mass_matrix``, RWM's ``cov``) is the same metric held constant, built
+once by :func:`fixed_metric`.
 
-The covariance is kept in the spectral form Sigma = V diag(s) V' that the
-one eigendecomposition of the Hessian already gives.  Its factor
-A = diag(sqrt s) V' satisfies A' A = Sigma, which is the only property the
-reflection and whitening algebra relies on, so every product the kernels
-need (whitening, Sigma g, A g) costs O(d^2) and no further cubic step runs.
+The covariance is kept in the spectral form Sigma = V diag(s) V' that one
+eigendecomposition gives.  Its factor A = diag(sqrt s) V' satisfies
+A' A = Sigma, which is the only property the reflection and whitening
+algebra relies on, so every product the kernels need costs O(d^2) and no
+further cubic step runs.
 
-A diagonal Hessian, given as the (d,) vector of its diagonal (as the
-product-form targets return it), is its own eigendecomposition: it needs no
-``eigh``, V is the identity and is not stored, and every product is
-elementwise, O(d).  A d x d matrix always goes through ``eigh``, diagonal
-or not.  The log-determinant and the square roots of s are computed on
-first use, since a hug bounce needs only Sigma g; a bounce off a diagonal
-Hessian vector builds no metric at all (:func:`diagonal_cov_dot`).
+A diagonal covariance, given as the (d,) vector of its diagonal, is its own
+eigendecomposition: no ``eigh``, V is the identity and is not stored, and
+every product is elementwise, O(d).  A d x d matrix always goes through
+``eigh``.  The log-determinant and the square roots of s are computed on
+first use; a bounce off a diagonal Hessian vector builds no metric at all
+(:func:`diagonal_cov_dot`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .exceptions import FactorizationError, NonFiniteInputError
 
-__all__ = ["LocalMetric", "local_covariance", "diagonal_cov_dot", "checked_factor", "check_floor"]
+__all__ = ["LocalMetric", "local_covariance", "diagonal_cov_dot", "fixed_metric", "check_floor"]
 
 # eigenvalue magnitudes below this are clamped before inversion so that
 # inflection points do not overflow
@@ -37,17 +38,20 @@ EIG_FLOOR = 1e-12
 
 @dataclass
 class LocalMetric:
-    """A local covariance Sigma = V diag(s) V' and its factor A = diag(sqrt s) V'.
+    """A covariance Sigma = V diag(s) V' and its factor A = diag(sqrt s) V'.
 
     Attributes:
         eigvals: the covariance eigenvalues s, all positive.
         eigvecs: d x d orthonormal V, column i belonging to ``eigvals[i]``;
-            ``None`` when V is the identity (a diagonal Hessian), in which
-            case every product below is elementwise.
+            ``None`` when V is the identity (a diagonal covariance), in
+            which case every product below is elementwise.
         regularized: True when the spectral-regularisation branch was taken.
         eps: the regularisation floor the metric was built with, which keys
             the chain state's metric cache; ``None`` when not built by
             :func:`local_covariance`.
+        matrix, inverse: the dense Sigma and Sigma^-1 that a fixed dense
+            covariance keeps (see :func:`fixed_metric`), which
+            :meth:`cov_dot` and :meth:`inv_dot` then use; ``None`` otherwise.
 
     ``log_det`` and the square roots of s are computed on first use and kept
     in plain attributes.  ``sigma`` and ``a`` build the dense matrices on
@@ -59,6 +63,8 @@ class LocalMetric:
     eigvecs: np.ndarray | None
     regularized: bool = False
     eps: float | None = None
+    matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
+    inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
     _log_det: float | None = field(default=None, init=False, repr=False, compare=False)
     _root_s: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _inv_root_s: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -107,10 +113,12 @@ class LocalMetric:
         """Inverse of :meth:`whiten`: returns A' w = V (sqrt s * w)."""
         if self.eigvecs is None:
             return self._root * w
-        return self.eigvecs @ (self._root * w)
+        return self.eigvecs.dot(self._root * w)
 
     def quad_inv(self, v: np.ndarray) -> float:
         """Quadratic form v' sigma^-1 v."""
+        if self.inverse is not None:
+            return float(v.dot(self.inverse.dot(v)))
         w = self.whiten(v)
         return float(w.dot(w))  # the BLAS dot of w @ w, called more cheaply
 
@@ -118,7 +126,17 @@ class LocalMetric:
         """Sigma g = V (s * V' g)."""
         if self.eigvecs is None:
             return self.eigvals * g
+        if self.matrix is not None:
+            return self.matrix.dot(g)
         return self.eigvecs @ (self.eigvals * (self.eigvecs.T @ g))
+
+    def inv_dot(self, v: np.ndarray) -> np.ndarray:
+        """Sigma^-1 v = V ((V' v) / s)."""
+        if self.eigvecs is None:
+            return v / self.eigvals
+        if self.inverse is not None:
+            return self.inverse.dot(v)
+        return self.eigvecs @ ((self.eigvecs.T @ v) / self.eigvals)
 
     def factor_dot(self, g: np.ndarray) -> np.ndarray:
         """A g = sqrt s * V' g."""
@@ -127,31 +145,35 @@ class LocalMetric:
         return self._root * (self.eigvecs.T @ g)
 
 
-def checked_factor(cov, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a fixed covariance and return it as a float array with its factor.
+def fixed_metric(cov, name: str) -> LocalMetric:
+    """Validate a fixed covariance and build its metric, once.
 
-    The factor A is the transpose of the lower Cholesky factor, so it is
-    upper triangular and A.T @ A == cov.
+    A (d,) vector of positive entries is a diagonal covariance and stays
+    elementwise (``eigvecs`` is ``None``).  A d x d symmetric
+    positive-definite matrix goes through one ``eigh``, and the metric
+    keeps the matrix and its inverse (``matrix``, ``inverse``).
 
     Raises:
-        ValueError: if ``cov`` is not a square matrix or not symmetric to
-            1e-10; the message names the parameter ``name``.
-        NonFiniteInputError: if ``cov`` has a non-finite entry, which a
-            Cholesky factorisation would carry into the factor.
+        ValueError: if ``cov`` is neither a vector nor a square matrix, or
+            is a matrix not symmetric to 1e-10; the message names the
+            parameter ``name``.
+        NonFiniteInputError: if ``cov`` has a non-finite entry.
         FactorizationError: if ``cov`` is not positive definite; the
             message names the parameter ``name``.
     """
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {cov.shape}")
+    if cov.ndim not in (1, 2) or cov.shape != cov.shape[:1] * cov.ndim:
+        raise ValueError(f"{name} must be a vector or a square matrix, got shape {cov.shape}")
     if not np.isfinite(cov).all():
         raise NonFiniteInputError(f"{name} contains non-finite entries")
-    if np.max(np.abs(cov - cov.T)) > 1e-10:
+    if cov.ndim == 2 and np.max(np.abs(cov - cov.T)) > 1e-10:
         raise ValueError(f"{name} must be symmetric")
-    try:
-        return cov, np.linalg.cholesky(cov).T
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"{name} is not positive definite") from exc
+    eigvals, eigvecs = (cov, None) if cov.ndim == 1 else np.linalg.eigh(cov)
+    if not eigvals.min() > 0:
+        raise FactorizationError(f"{name} is not positive definite")
+    if eigvecs is None:
+        return LocalMetric(eigvals=cov, eigvecs=None)
+    return LocalMetric(eigvals, eigvecs, matrix=cov, inverse=np.linalg.inv(cov))
 
 
 NON_FINITE_HESSIAN = "Hessian contains non-finite entries"

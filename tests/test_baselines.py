@@ -131,7 +131,7 @@ def test_leapfrog_is_the_textbook_loop(target, mass, n_steps, rng):
     # applies a cached inverse mass, so it matches the textbook loop up to
     # rounding; the endpoint gradient and log-density are the target's there
     params = HmcParams(n_steps=n_steps, step_size=0.15, mass_matrix=MASSES[mass])
-    factor = np.eye(4) if params.mass_factor is None else params.mass_factor
+    factor = np.eye(4) if params.metric is None else params.metric.a
     for _ in range(5):
         x0, p0 = rng.standard_normal(4), factor.T @ rng.standard_normal(4)
         x1, p1, g1, logp1 = leapfrog(target, x0, p0, params)
@@ -244,7 +244,7 @@ class TestRwmStep:
         "cov,error",
         [
             (np.ones((2, 3)), "square"),
-            (np.ones(3), "square"),
+            (np.ones((2, 2, 2)), "square"),
             (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
             (np.diag([1.0, -1.0]), "positive definite"),
             (np.array([[1.0, 2.0], [2.0, 1.0]]), "positive definite"),
@@ -257,7 +257,10 @@ class TestRwmStep:
     def test_fixed_cov_factor_computed_once(self):
         cov = np.array([[2.0, 0.3], [0.3, 0.5]])
         params = RwmParams(step_scale=1.0, local_cov="fixed", cov=cov)
-        np.testing.assert_array_equal(params.cov_factor, np.linalg.cholesky(cov).T)
+        eigvals, eigvecs = np.linalg.eigh(cov)
+        np.testing.assert_array_equal(params.metric.eigvals, eigvals)
+        np.testing.assert_array_equal(params.metric.eigvecs, eigvecs)
+        np.testing.assert_array_equal(params.metric.inverse, np.linalg.inv(cov))
 
 
 class TestMalaStep:

@@ -97,6 +97,11 @@ class TestRun:
                                                      "eps": -1}]}, "kernels[1].eps"),
             ("run", {"kernels": [{"kernel": "rwm", "local_cov": "hessian", "eps": 0.0}]},
              "kernels[0].eps"),
+            # a fixed covariance of the wrong size for the d = 3 target
+            ("run", {"kernels": [{"kernel": "hug", "mode": "precond",
+                                  "precond_cov": [[1, 0], [0, 1]]}]}, "kernels[0]"),
+            ("run", {"kernels": [{"kernel": "rwm", "local_cov": "fixed",
+                                  "cov": [[1, 0], [0, 1]]}]}, "kernels[0]"),
         ],
     )
     def test_malformed_value_is_config_error_naming_its_field(

@@ -436,7 +436,10 @@ class TestHugKernelStep:
     def test_precond_factor_computed_once(self, rng):
         sigma = random_spd(rng, 3)
         params = HugParams(1.0, 5, mode="precond", precond_cov=sigma)
-        np.testing.assert_array_equal(params.precond_factor, np.linalg.cholesky(sigma).T)
+        eigvals, eigvecs = np.linalg.eigh(sigma)
+        np.testing.assert_array_equal(params.metric.eigvals, eigvals)
+        np.testing.assert_array_equal(params.metric.eigvecs, eigvecs)
+        assert params.metric.matrix is params.precond_cov
         assert params == HugParams(1.0, 5, mode="precond", precond_cov=params.precond_cov)
 
 

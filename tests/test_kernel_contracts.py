@@ -16,12 +16,15 @@
 """
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hughop.baselines import HmcKernel, HmcParams, RwmKernel, RwmParams
 from hughop.exceptions import NoHessianError
 from hughop.harness import make_kernel
+from hughop.hug import HugKernel, HugParams
 from hughop.metric import local_covariance
 from hughop.models import (
     CauchitPosterior,
@@ -32,7 +35,7 @@ from hughop.models import (
     simulate_spatial,
 )
 from hughop.state import ChainState
-from hughop.targets import TargetModel, make_target
+from hughop.targets import GaussianDiag, TargetModel, make_target
 
 
 def _spd(dim: int) -> list:
@@ -41,11 +44,14 @@ def _spd(dim: int) -> list:
 
 def kernel_specs(dim: int) -> dict:
     """Every shipped kernel, hug mode and velocity, hop guard and metric,
-    RWM covariance and HMC mass."""
+    RWM covariance and HMC mass, with each fixed covariance given both as a
+    matrix and as a vector."""
     return {
         "hug-plain": {"kernel": "hug", "T": 0.5, "B": 4},
         "hug-precond": {"kernel": "hug", "T": 0.5, "B": 4, "mode": "precond",
                         "precond_cov": _spd(dim)},
+        "hug-precond-diag": {"kernel": "hug", "T": 0.5, "B": 4, "mode": "precond",
+                             "precond_cov": np.linspace(0.5, 2.0, dim).tolist()},
         "hug-hessian": {"kernel": "hug", "T": 0.5, "B": 4, "mode": "hessian"},
         "hug-hessian-isotropic": {"kernel": "hug", "T": 0.5, "B": 4, "mode": "hessian",
                                   "velocity": "isotropic"},
@@ -54,6 +60,8 @@ def kernel_specs(dim: int) -> dict:
         "hop-hessian": {"kernel": "hop", "lambda": 1.0, "kappa": 0.5, "hessian": True},
         "rwm-none": {"kernel": "rwm", "step_scale": 0.3},
         "rwm-fixed": {"kernel": "rwm", "step_scale": 0.3, "local_cov": "fixed", "cov": _spd(dim)},
+        "rwm-fixed-diag": {"kernel": "rwm", "step_scale": 0.3, "local_cov": "fixed",
+                           "cov": np.linspace(0.5, 2.0, dim).tolist()},
         "rwm-hessian": {"kernel": "rwm", "step_scale": 0.3, "local_cov": "hessian"},
         "mala": {"kernel": "mala", "step_scale": 0.3},
         "hmc-identity": {"kernel": "hmc", "L": 4, "step_size": 0.1},
@@ -215,11 +223,11 @@ HESSIAN_WARNING = {
 }
 POISONED_CASES = [
     (label, poison)
-    for label in ("hug-plain", "hug-precond", "hug-hessian", "hop-plus1", "hop-hessian",
-                  "hmc-identity", "mala", "rwm-hessian")
+    for label in ("hug-plain", "hug-precond", "hug-precond-diag", "hug-hessian", "hop-plus1",
+                  "hop-hessian", "hmc-identity", "mala", "rwm-fixed-diag", "rwm-hessian")
     for poison in ("logp", "logp_inf", "grad", "hess")
     if poison != "hess" or "hessian" in label
-    if poison != "grad" or label != "rwm-hessian"
+    if poison != "grad" or not label.startswith("rwm")
 ]
 
 
@@ -268,3 +276,30 @@ def test_hug_counts_zero_gradient_bounces_in_extras():
     assert outcome.extras == {"zero_grad_bounces": 4}
     assert outcome.accepted  # unreflected, the velocity and density are unchanged
     assert new_state.logp == 0.0
+
+
+VECTOR_COVARIANCE_KERNELS = {
+    "hug-precond-diag": lambda cov: HugKernel(HugParams(0.5, 4, mode="precond", precond_cov=cov)),
+    "rwm-fixed-diag": lambda cov: RwmKernel(RwmParams(0.3, local_cov="fixed", cov=cov)),
+    "hmc-diag-mass": lambda cov: HmcKernel(HmcParams(4, 0.1, mass_matrix=cov)),
+}
+
+
+@pytest.mark.parametrize("label", list(VECTOR_COVARIANCE_KERNELS))
+def test_vector_covariance_step_allocates_no_dense_matrix(label):
+    # at d = 2000 one dense d x d array is 32 MB; a vector covariance is
+    # built, and a step taken, in O(d) memory
+    dim = 2000
+    target = GaussianDiag(scales=1.0, dim=dim)
+    state = ChainState.at(target, np.full(dim, 0.1))
+    cov = np.linspace(0.5, 2.0, dim)
+    rng = np.random.default_rng(35)
+    tracemalloc.start()
+    try:
+        kernel = VECTOR_COVARIANCE_KERNELS[label](cov)
+        kernel.step(target, state, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"{label}: peak {peak / 2**20:.1f} MiB"
+    assert kernel.params.metric.eigvecs is None

@@ -1,10 +1,10 @@
-"""Local covariance construction and matrix factors."""
+"""Local and fixed covariance construction and the metric's products."""
 
 import numpy as np
 import pytest
 
 from hughop.exceptions import FactorizationError, NonFiniteInputError
-from hughop.metric import EIG_FLOOR, LocalMetric, checked_factor, local_covariance
+from hughop.metric import EIG_FLOOR, LocalMetric, fixed_metric, local_covariance
 
 
 def random_spd(rng, d, spread=2.0):
@@ -179,23 +179,50 @@ class TestLocalCovariance:
 
 
 class TestFactor:
+    """The fixed metric that :func:`fixed_metric` builds once."""
+
     def test_identity(self):
-        np.testing.assert_allclose(checked_factor(np.eye(4), "cov")[1], np.eye(4))
+        m = fixed_metric(np.eye(4), "cov")
+        np.testing.assert_allclose(m.eigvals, np.ones(4))
+        np.testing.assert_allclose(m.a.T @ m.a, np.eye(4))
+        np.testing.assert_array_equal(m.matrix, np.eye(4))
+        np.testing.assert_array_equal(m.inverse, np.eye(4))
 
     def test_diagonal_triangular_root(self):
-        _, a = checked_factor(np.diag([4.0, 9.0]), "cov")
-        np.testing.assert_allclose(a, np.diag([2.0, 3.0]))
+        # a vector is its own eigendecomposition: elementwise, with no eigh
+        m = fixed_metric(np.array([4.0, 9.0]), "cov")
+        assert m.eigvecs is None and m.matrix is None and m.inverse is None
+        np.testing.assert_array_equal(m.a, np.diag([2.0, 3.0]))
+        dense = fixed_metric(np.diag([4.0, 9.0]), "cov")
+        np.testing.assert_allclose(dense.a.T @ dense.a, np.diag([4.0, 9.0]))
 
     def test_factor_property_random_spd(self, rng):
         for _ in range(10):
             sigma = random_spd(rng, 5)
-            _, a = checked_factor(sigma, "cov")
-            err = np.linalg.norm(a.T @ a - sigma) / np.linalg.norm(sigma)
+            m = fixed_metric(sigma, "cov")
+            err = np.linalg.norm(m.a.T @ m.a - sigma) / np.linalg.norm(sigma)
             assert err < 1e-12
+            eigvals, eigvecs = np.linalg.eigh(sigma)
+            np.testing.assert_array_equal(m.eigvals, eigvals)
+            np.testing.assert_array_equal(m.eigvecs, eigvecs)
+            np.testing.assert_array_equal(m.inverse, np.linalg.inv(sigma))
+            g = rng.standard_normal(5)
+            np.testing.assert_array_equal(m.cov_dot(g), sigma @ g)
+            np.testing.assert_array_equal(m.inv_dot(g), np.linalg.inv(sigma) @ g)
 
     def test_non_pd_rejected(self):
-        with pytest.raises(FactorizationError):
-            checked_factor(np.diag([1.0, -1.0]), "cov")
+        for cov in (np.diag([1.0, -1.0]), np.array([1.0, -1.0]), np.array([1.0, 0.0])):
+            with pytest.raises(FactorizationError, match="cov is not positive definite"):
+                fixed_metric(cov, "cov")
+
+    @pytest.mark.parametrize("cov", [np.ones((2, 3)), np.ones((2, 2, 2)), 1.0])
+    def test_shape_error_names_the_parameter(self, cov):
+        with pytest.raises(ValueError, match="mass_matrix must be a vector or a square matrix"):
+            fixed_metric(cov, "mass_matrix")
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(NonFiniteInputError, match="cov contains non-finite entries"):
+            fixed_metric(np.array([1.0, np.nan]), "cov")
 
 
 class TestLocalMetricOps:
@@ -206,10 +233,17 @@ class TestLocalMetricOps:
         np.testing.assert_allclose(m.unwhiten(m.whiten(v)), v, atol=1e-9)
 
     @pytest.mark.parametrize("d", [1, 4, 25])
-    @pytest.mark.parametrize("shape", ["dense", "diagonal", "indefinite"])
+    @pytest.mark.parametrize("shape", ["dense", "diagonal", "indefinite",
+                                       "fixed-dense", "fixed-vector"])
     def test_products_match_dense_formulas(self, d, shape, rng):
         for _ in range(5):
-            if shape == "dense":
+            if shape == "fixed-dense":
+                hess = None
+                m = fixed_metric(random_spd(rng, d), "cov")
+            elif shape == "fixed-vector":
+                hess = None
+                m = fixed_metric(np.exp(rng.uniform(-2.0, 2.0, d)), "cov")
+            elif shape == "dense":
                 hess = -np.linalg.inv(random_spd(rng, d))
             elif shape == "diagonal":
                 hess = np.diag(-np.exp(rng.uniform(-2.0, 2.0, d)))
@@ -217,7 +251,8 @@ class TestLocalMetricOps:
                 q, _ = np.linalg.qr(rng.standard_normal((d, d)))
                 hess = (q * rng.uniform(-3.0, 3.0, d)) @ q.T
                 hess = 0.5 * (hess + hess.T)
-            m = local_covariance(hess, eps=1e-4)
+            if hess is not None:
+                m = local_covariance(hess, eps=1e-4)
             sigma, a = m.sigma, m.a
             np.testing.assert_allclose(a.T @ a, sigma, rtol=1e-10, atol=1e-12)
             v, g = rng.standard_normal(d), rng.standard_normal(d)
@@ -225,6 +260,8 @@ class TestLocalMetricOps:
             np.testing.assert_allclose(m.unwhiten(v), a.T @ v, rtol=1e-12, atol=1e-12)
             assert m.quad_inv(v) == pytest.approx(v @ np.linalg.solve(sigma, v), rel=1e-8)
             np.testing.assert_allclose(m.cov_dot(g), sigma @ g, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(m.inv_dot(v), np.linalg.solve(sigma, v),
+                                       rtol=1e-8, atol=1e-12)
             np.testing.assert_allclose(m.factor_dot(g), a @ g, rtol=1e-12, atol=1e-12)
             assert m.log_det == pytest.approx(np.linalg.slogdet(sigma)[1], rel=1e-9, abs=1e-9)
 

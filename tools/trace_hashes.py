@@ -97,6 +97,7 @@ PRECOND = [[1.0, 0.3, 0.0, 0.0, 0.0],
            [0.0, 0.1, 1.5, 0.0, 0.0],
            [0.0, 0.0, 0.0, 3.0, 0.2],
            [0.0, 0.0, 0.0, 0.2, 4.0]]
+PRECOND_DIAG = [1.0, 2.0, 1.5, 3.0, 4.0]  # the diagonal of PRECOND, given as a vector
 
 
 def _chain(target: dict, kernels: list, iterations: int = 400) -> dict:
@@ -109,7 +110,8 @@ def _hessian_hug_hop(total_time: float, lam: float) -> list:
 
 
 # name -> (config, seed); every kernel, hug mode and velocity, hop guard and
-# metric, RWM covariance, HMC mass, and every diagonal-Hessian target
+# metric, RWM covariance (a matrix or a vector), HMC mass (a vector or a
+# matrix), and every diagonal-Hessian target
 CHAINS = {
     **{f"lg25-plain/seed{s}": (LG25_PLAIN, s) for s in (1, 2, 3)},
     "lg100-hessian/seed1": (LG100_HESSIAN, 1),
@@ -136,6 +138,11 @@ CHAINS = {
                                        {"kernel": "mala", "step_scale": 0.6}]), 17),
     "rwm-fixed/lg5": (_chain(LG5, [{"kernel": "rwm", "step_scale": 0.8, "local_cov": "fixed",
                                     "cov": PRECOND}]), 18),
+    "hug-precond-diag+hop/lg5": (_chain(LG5, [{"kernel": "hug", "T": 1.0, "B": 5,
+                                               "mode": "precond", "precond_cov": PRECOND_DIAG},
+                                              {"kernel": "hop", "lambda": 1.5, "kappa": 0.5}]), 27),
+    "rwm-fixed-diag/lg5": (_chain(LG5, [{"kernel": "rwm", "step_scale": 0.8, "local_cov": "fixed",
+                                         "cov": PRECOND_DIAG}]), 28),
     "rwm-hessian/banana": (_chain(BANANA, [{"kernel": "rwm", "step_scale": 0.8,
                                            "local_cov": "hessian"}]), 19),
     "hmc-identity/lg5": (_chain(LG5, [{"kernel": "hmc", "L": 8, "step_size": 0.2}]), 20),
