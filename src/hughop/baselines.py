@@ -146,13 +146,21 @@ def _leapfrog_loop(target, x, p, g, params: HmcParams, checked: bool):
     momentum, so the trusted gradient only sees checked positions."""
     delta = params.step_size
     half = 0.5 * delta
-    inv_dot = None if params.metric is None else params.metric.inv_dot  # M^-1 p
+    mass = params.metric
+    # delta M^-1 is taken once: a dense mass drifts with one product, as one
+    # without does, and a diagonal one elementwise
+    if mass is None:
+        drift = None
+    elif mass.eigvecs is None:
+        drift = (delta / mass.eigvals).__mul__
+    else:
+        drift = (delta * mass.inverse).dot
     last = params.n_steps - 1
     if last < 0:
         return x, p, g, target._log_density(x)
     p = p + half * g
     for step in range(params.n_steps):
-        x = x + delta * (p if inv_dot is None else inv_dot(p))
+        x = x + (delta * p if drift is None else drift(p))
         if checked and not all_finite(x):
             raise TrajectoryError("non-finite position in leapfrog", step)
         if step < last:

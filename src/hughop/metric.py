@@ -50,8 +50,9 @@ class LocalMetric:
             the chain state's metric cache; ``None`` when not built by
             :func:`local_covariance`.
         matrix, inverse: the dense Sigma and Sigma^-1 that a fixed dense
-            covariance keeps (see :func:`fixed_metric`), which
-            :meth:`cov_dot` and :meth:`inv_dot` then use; ``None`` otherwise.
+            covariance keeps (see :func:`fixed_metric`); :meth:`cov_dot`
+            uses ``matrix`` and HMC's drift ``inverse``.  ``None``
+            otherwise; not arguments.
 
     ``log_det`` and the square roots of s are computed on first use and kept
     in plain attributes.  ``sigma`` and ``a`` build the dense matrices on
@@ -63,8 +64,8 @@ class LocalMetric:
     eigvecs: np.ndarray | None
     regularized: bool = False
     eps: float | None = None
-    matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
-    inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
+    matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    inverse: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _log_det: float | None = field(default=None, init=False, repr=False, compare=False)
     _root_s: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _inv_root_s: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -117,8 +118,6 @@ class LocalMetric:
 
     def quad_inv(self, v: np.ndarray) -> float:
         """Quadratic form v' sigma^-1 v."""
-        if self.inverse is not None:
-            return float(v.dot(self.inverse.dot(v)))
         w = self.whiten(v)
         return float(w.dot(w))  # the BLAS dot of w @ w, called more cheaply
 
@@ -129,14 +128,6 @@ class LocalMetric:
         if self.matrix is not None:
             return self.matrix.dot(g)
         return self.eigvecs @ (self.eigvals * (self.eigvecs.T @ g))
-
-    def inv_dot(self, v: np.ndarray) -> np.ndarray:
-        """Sigma^-1 v = V ((V' v) / s)."""
-        if self.eigvecs is None:
-            return v / self.eigvals
-        if self.inverse is not None:
-            return self.inverse.dot(v)
-        return self.eigvecs @ ((self.eigvecs.T @ v) / self.eigvals)
 
     def factor_dot(self, g: np.ndarray) -> np.ndarray:
         """A g = sqrt s * V' g."""
@@ -171,9 +162,10 @@ def fixed_metric(cov, name: str) -> LocalMetric:
     eigvals, eigvecs = (cov, None) if cov.ndim == 1 else np.linalg.eigh(cov)
     if not eigvals.min() > 0:
         raise FactorizationError(f"{name} is not positive definite")
-    if eigvecs is None:
-        return LocalMetric(eigvals=cov, eigvecs=None)
-    return LocalMetric(eigvals, eigvecs, matrix=cov, inverse=np.linalg.inv(cov))
+    metric = LocalMetric(eigvals, eigvecs)
+    if eigvecs is not None:
+        metric.matrix, metric.inverse = cov, np.linalg.inv(cov)
+    return metric
 
 
 NON_FINITE_HESSIAN = "Hessian contains non-finite entries"

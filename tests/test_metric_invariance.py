@@ -20,13 +20,22 @@ there is far from the identity and its eigenvalues, sorted by ``eigh``,
 come in the reverse of coordinate order.  On it, HMC with the kinetic
 energy taken with the identity in place of M^-1, or with a full-mass
 momentum drawn with A in place of A', fails this test.
+
+The full-mass HMC entry is also checked from exact starts, which does not
+rest on how fast a chain switches modes: a kernel that leaves the target
+invariant keeps a batch of exact draws exact after any number of steps
+(Geweke 2004), so after 3 steps from each of 10,000 exact starts the ends
+and fresh exact draws must pass a two-sample KS test on each component and
+on log pi, each at level 0.001 (six tests over the two targets).  Both
+mutations above fail it on bimodal and on the stretched banana.
 """
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from hughop.harness import ExperimentConfig, run_chain
+from hughop.harness import ExperimentConfig, make_kernel, run_chain
+from hughop.state import ChainState
 from hughop.targets import make_target
 
 TARGETS = {
@@ -99,3 +108,23 @@ def test_metric_kernels_leave_target_invariant(target_name, sampler):
         thin = max(1, int(np.ceil(2.0 * series.size / ess)))
         p_value = stats.ks_2samp(series[::thin], exact[:, j]).pvalue
         assert p_value > 0.01, f"component {j}: KS test rejected at level 0.01 (p={p_value:.4f})"
+
+
+@pytest.mark.parametrize("target_name", ["bimodal", "banana-stretched"])
+def test_full_mass_hmc_keeps_exact_starts_exact(target_name):
+    target = make_target(TARGETS[target_name])
+    rng = np.random.default_rng(2401 + list(TARGETS).index(target_name))
+    exact = target.sample_exact(rng, 10_000)
+    name, estimate = FROM_EXACT["full-mass-hmc"]
+    spec = {**SAMPLERS["full-mass-hmc"][0][0], name: estimate(target.sample_exact(rng, 20_000))}
+    kernel = make_kernel(spec, dim=target.dim)
+    ends = target.sample_exact(rng, exact.shape[0])
+    for i, x in enumerate(ends):
+        state = ChainState.at(target, x)
+        for _ in range(3):
+            state, _ = kernel.step(target, state, rng)
+        ends[i] = state.position
+    log_pi = [[target.log_density(x) for x in draws] for draws in (ends, exact)]
+    for j, (a, b) in enumerate([*zip(ends.T, exact.T), log_pi]):
+        p_value = stats.ks_2samp(a, b).pvalue
+        assert p_value > 0.001, f"test {j} (components, then log pi): KS p={p_value:.5f}"
