@@ -4,7 +4,9 @@ A refactor that leaves the arithmetic unchanged must leave every trace
 byte-identical for the same config and seed.  This script runs a fixed set
 of short chains, hashes the recorded log-density, positions and accept
 flags of each, hashes the reports and dataset files of three small model
-comparisons with their timing fields dropped, and writes or checks a JSON
+comparisons with their timing fields dropped, hashes the rows that the hop
+scaling and hug efficiency procedures return on small grids, and writes or
+checks a JSON
 manifest of the hashes together with the environment they were computed in
 (Python, numpy, scipy, BLAS).
 Hashes are only comparable within one environment; ``--check`` reports a
@@ -42,7 +44,13 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from hughop.baselines import HmcKernel, HmcParams  # noqa: E402
-from hughop.harness import ExperimentConfig, run_chain, run_kernels  # noqa: E402
+from hughop.harness import (  # noqa: E402
+    ExperimentConfig,
+    hop_scaling_experiment,
+    hug_efficiency_experiment,
+    run_chain,
+    run_kernels,
+)
 from hughop.hop import HopKernel, HopParams  # noqa: E402
 from hughop.hug import HugKernel, HugParams  # noqa: E402
 from hughop.model_runs import (  # noqa: E402
@@ -59,6 +67,7 @@ from hughop.models import (  # noqa: E402
     simulate_rasch,
     simulate_spatial,
 )
+from hughop.targets import make_target  # noqa: E402
 
 MANIFEST = Path(__file__).with_name("trace_hashes.json")
 
@@ -90,6 +99,7 @@ LG100_HESSIAN = {
 LG5 = {"target": "lg", "a": 2.0, "scales": "L", "dim": 5}
 GAUSS25L = {"target": "gauss", "scales": "L", "dim": 25}
 QG25L = {"target": "qg", "scales": "L", "dim": 25}
+GAUSS5L = {"target": "gauss", "scales": "L", "dim": 5}
 
 BANANA = {"target": "banana", "dim": 4, "scales": [1.0, 0.5, 1.0, 2.0]}
 PRECOND = [[1.0, 0.3, 0.0, 0.0, 0.0],
@@ -229,6 +239,25 @@ REPORTS = {
 }
 
 
+# name -> an experiment procedure on a small grid, whose returned rows are
+# hashed; hop scaling's lambda = 1e6 cells reject every proposal, so their
+# rows carry degenerate-series notes
+EXPERIMENTS = {
+    "experiment/hop-scaling": lambda: hop_scaling_experiment(
+        {"target": "lg", "a": 2.0, "scales": "L"}, dims=[3, 6], lam_grid=[1.0, 4.0, 1e6],
+        kappa_grid=[0.5], iterations=400, seed=4),
+    "experiment/hug-efficiency": lambda: (
+        hug_efficiency_experiment(make_target(GAUSS5L), [1, 5], [0.5, 2.0], n_reps=50, seed=5)
+        + hug_efficiency_experiment(make_target(BANANA), [2], [0.5, 1.0], n_reps=50, seed=6,
+                                    mode="hessian")),
+}
+
+
+def _experiment_hashes() -> dict:
+    return {name: hashlib.sha256(json.dumps(run(), sort_keys=True, default=str).encode())
+            .hexdigest() for name, run in EXPERIMENTS.items()}
+
+
 TIMED_LINE = re.compile(rb'"(wall_time|\w+_per_sec)":')
 
 
@@ -264,6 +293,7 @@ def compute_hashes() -> dict:
     hashes.update(_gibbs_hashes())
     hashes.update(_model_hashes())
     hashes.update(_report_hashes())
+    hashes.update(_experiment_hashes())
     return hashes
 
 
