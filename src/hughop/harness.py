@@ -19,6 +19,7 @@ import math
 import time
 from dataclasses import dataclass, field as dataclass_field, replace
 from itertools import product
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +33,10 @@ from .exceptions import (
     NonFiniteInputError,
     TrajectoryError,
 )
-from .hop import HopKernel, HopParams, default_lam, hop_log_density, hop_propose
-from .hug import HugKernel, HugParams, hug_kernel_step, hug_trajectory
-from .state import ChainState, log_acceptance
-from .targets import TargetModel, make_target
+from .hop import HopKernel, HopParams, default_lam
+from .hug import HugKernel, HugParams, hug_trajectory
+from .state import ChainState, kernel_labels
+from .targets import GaussianDiag, TargetModel, make_target
 
 __all__ = [
     "ExperimentConfig",
@@ -296,14 +297,41 @@ def _initial_position(target: TargetModel, init, rng: np.random.Generator) -> np
     return x0
 
 
-def _kernel_labels(kernels) -> list[str]:
-    labels = []
-    for kernel in kernels:
-        label = kernel.name
-        if label in labels:
-            label = f"{label}{sum(l.startswith(kernel.name) for l in labels) + 1}"
-        labels.append(label)
-    return labels
+def _record_sweeps(sweep, observe, state, dim, labels, iterations, burn_in, thin=1, record="full"):
+    """The sweep loop of every chain: run ``iterations`` sweeps from ``state``
+    and record them as a :class:`Trace`.
+
+    ``sweep(it, state)`` returns the new state and its accept flags, in the
+    order of ``labels``; ``observe(state)`` returns the log-density and the
+    (dim,) position.  After ``burn_in`` sweeps every ``thin``-th is recorded,
+    its position only when ``record`` is ``"full"``.
+    """
+    n_recorded = max(0, (iterations - burn_in + thin - 1) // thin)
+    log_target = np.empty(n_recorded)
+    positions = np.empty((n_recorded, dim)) if record == "full" else None
+    accept = {label: np.zeros(n_recorded, dtype=bool) for label in labels}
+
+    start = time.perf_counter()
+    row = 0
+    for it in range(iterations):
+        state, flags = sweep(it, state)
+        if it >= burn_in and (it - burn_in) % thin == 0:
+            log_target[row], position = observe(state)
+            if positions is not None:
+                positions[row] = position
+            for label, flag in zip(labels, flags):
+                accept[label][row] = flag
+            row += 1
+    wall_time = time.perf_counter() - start
+
+    return Trace(
+        log_target=log_target,
+        positions=positions,
+        accept=accept,
+        wall_time=wall_time,
+        burn_in_fraction=burn_in / iterations if iterations else 0.0,
+        iterations=iterations - burn_in,
+    )
 
 
 def run_kernels(
@@ -319,44 +347,21 @@ def run_kernels(
     """Run a kernel sweep chain against an already-built target.
 
     This is the engine behind :func:`run_chain`; it also serves targets that
-    are not registry-constructible (the statistical models).
+    are not registry-constructible (the statistical models).  The accept
+    flags are keyed by :func:`~hughop.state.kernel_labels`.
     """
-    labels = _kernel_labels(kernels)
-    state = ChainState.at(target, _initial_position(target, init, rng))
 
-    iterations = int(iterations)
-    burn_in = int(burn_in)
-    thin = int(thin)
-    n_recorded = max(0, (iterations - burn_in + thin - 1) // thin)
-    record_positions = record == "full"
-
-    log_target = np.empty(n_recorded)
-    positions = np.empty((n_recorded, target.dim)) if record_positions else None
-    accept = {label: np.zeros(n_recorded, dtype=bool) for label in labels}
-
-    start = time.perf_counter()
-    row = 0
-    for it in range(iterations):
+    def sweep(it, state):
         flags = []
         for kernel in kernels:
             state, outcome = kernel.step(target, state, rng)
             flags.append(outcome.accepted)
-        if it >= burn_in and (it - burn_in) % thin == 0:
-            log_target[row] = state.logp
-            if record_positions:
-                positions[row] = state.position
-            for label, flag in zip(labels, flags):
-                accept[label][row] = flag
-            row += 1
-    wall_time = time.perf_counter() - start
+        return state, flags
 
-    trace = Trace(
-        log_target=log_target[:row],
-        positions=None if positions is None else positions[:row],
-        accept={k: v[:row] for k, v in accept.items()},
-        wall_time=wall_time,
-        burn_in_fraction=burn_in / iterations if iterations else 0.0,
-        iterations=iterations - burn_in,
+    state = ChainState.at(target, _initial_position(target, init, rng))
+    trace = _record_sweeps(
+        sweep, attrgetter("logp", "position"), state, target.dim, kernel_labels(kernels),
+        int(iterations), int(burn_in), int(thin), record,
     )
     return trace, summarize_run(trace)
 
@@ -476,39 +481,41 @@ def tune_cells(cells: list[dict], run_pilot, seed, objective) -> TuneResult:
     """
     if not callable(objective) and objective not in OBJECTIVES:
         raise ConfigError("objective", f"unknown objective {objective!r}")
-    entropy = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    table: list[dict] = []
-    best = None
-    best_score = -np.inf
-    for i, (cell, cell_seed) in enumerate(zip(cells, entropy.spawn(len(cells)))):
-        row = dict(cell)
-        try:
-            summary = run_pilot(i, cell_seed)
-            score = _objective_value(summary, objective)
-            row.update(
-                score=score,
-                min_ess_x=summary.min_ess_x,
-                ess_logpi=summary.ess_logpi,
-                min_ess_x_per_1000=summary.min_ess_x_per_1000,
-                ess_logpi_per_1000=summary.ess_logpi_per_1000,
-                wall_time=summary.wall_time,
-                acceptance=summary.acceptance,
-                note="; ".join(summary.notes),
-            )
-        except (DegenerateSeriesError, ConfigError) as exc:
-            score = np.nan
-            row.update(score=score, note=str(exc))
-        table.append(row)
-        if np.isfinite(score) and score > best_score:
-            best_score = score
-            best = dict(cell)
 
-    if best is None:
+    def describe(summary):
+        return dict(
+            score=_objective_value(summary, objective),
+            min_ess_x=summary.min_ess_x,
+            ess_logpi=summary.ess_logpi,
+            min_ess_x_per_1000=summary.min_ess_x_per_1000,
+            ess_logpi_per_1000=summary.ess_logpi_per_1000,
+            wall_time=summary.wall_time,
+            acceptance=summary.acceptance,
+            note="; ".join(summary.notes),
+        )
+
+    table = _pilot_rows([dict(c) for c in cells], run_pilot, seed, describe, {"score": np.nan})
+    scored = [i for i, row in enumerate(table) if np.isfinite(row["score"])]
+    if not scored:
         failures = "; ".join(
             f"{cell}: {row.get('note', 'NaN score')}" for cell, row in zip(cells, table)
         )
         raise ConfigError("grid", f"all grid cells degenerate: {failures}")
-    return TuneResult(best=best, best_score=best_score, table=table)
+    best = max(scored, key=lambda i: table[i]["score"])
+    return TuneResult(best=dict(cells[best]), best_score=table[best]["score"], table=table)
+
+
+def _pilot_rows(rows: list[dict], run_pilot, seed, describe, failed: dict) -> list[dict]:
+    """The per-cell loop of every grid, as :func:`tune_cells` documents it:
+    ``rows[i]`` gains ``describe`` of cell i's pilot summary, or for a
+    degenerate cell ``failed`` and its failure ``note``."""
+    entropy = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    for i, (row, cell_seed) in enumerate(zip(rows, entropy.spawn(len(rows)))):
+        try:
+            row.update(describe(run_pilot(i, cell_seed)))
+        except (DegenerateSeriesError, ConfigError) as exc:
+            row.update(failed, note=str(exc))
+    return rows
 
 
 def _pilot_config(config: ExperimentConfig, cell: dict) -> ExperimentConfig:
@@ -536,19 +543,33 @@ def grid_tune(config: ExperimentConfig, objective=None) -> TuneResult:
     resolve, or a cell config that fails validation, raises before any
     pilot runs.
     """
+    cells, run_pilot = _grid_pilots(config)
+    objective = objective if objective is not None else config.objective
+    return tune_cells(cells, run_pilot, config.seed, objective)
+
+
+def _grid_pilots(config: ExperimentConfig):
+    """The cells of ``config.grid`` and the ``run_pilot(i, cell_seed)`` that
+    runs the pilot of cell i with :func:`run_chain`, for :func:`_pilot_rows`."""
     cells = grid_cells(config.grid)
     pilots = [_pilot_config(config, cell) for cell in cells]
 
     def run_pilot(i, cell_seed):
         return run_chain(replace(pilots[i], seed=cell_seed))[1]
 
-    objective = objective if objective is not None else config.objective
-    return tune_cells(cells, run_pilot, config.seed, objective)
+    return cells, run_pilot
 
 
 # ---------------------------------------------------------------------------
 # Experiment procedures
 # ---------------------------------------------------------------------------
+
+
+def _exact_start_steps(target: TargetModel, kernel, n: int, rng: np.random.Generator):
+    """Yield ``(x0, outcome)`` for one ``kernel`` step from each of ``n``
+    exact draws ``x0`` of ``target``, all drawn before the first step."""
+    for x0 in target.sample_exact(rng, n):
+        yield x0, kernel.step(target, ChainState.at(target, x0), rng)[1]
 
 
 def hug_efficiency_experiment(
@@ -562,7 +583,7 @@ def hug_efficiency_experiment(
     """Proposal-quality sweep over (bounce count, integration time).
 
     For every grid cell, draws ``n_reps`` exact target samples and applies
-    one :func:`~hughop.hug.hug_kernel_step` to each, with an isotropic
+    one hug step to each (:func:`_exact_start_steps`), with an isotropic
     velocity, recording the step's acceptance probability ``alpha`` and the
     squared distance to its proposal.  A step whose trajectory fails scores
     alpha = 0 with its proposal at the start, so a zero jump.  The
@@ -572,36 +593,30 @@ def hug_efficiency_experiment(
     if not target.has_exact_sampler:
         raise ValueError(f"{target.name}: hug efficiency sweep needs exact sampling")
     rows = []
-    seeds = np.random.SeedSequence(seed).spawn(len(n_bounces_grid) * len(total_time_grid))
-    cell = 0
-    for n_bounces in n_bounces_grid:
-        for total_time in total_time_grid:
-            rng = np.random.default_rng(seeds[cell])
-            cell += 1
-            # isotropic velocities keep the acceptance a pure log-density
-            # difference in every mode
-            params = HugParams(
-                total_time=float(total_time),
-                n_bounces=int(n_bounces),
-                mode=mode,
-                velocity="isotropic",
-            )
-            alphas = np.empty(n_reps)
-            sq_jumps = np.empty(n_reps)
-            starts = target.sample_exact(rng, n_reps)
-            for i, x0 in enumerate(starts):
-                _, outcome = hug_kernel_step(target, ChainState.at(target, x0), params, rng)
-                alphas[i] = outcome.alpha
-                sq_jumps[i] = float(np.sum((outcome.proposal - x0) ** 2))
-            rows.append(
-                {
-                    "n_bounces": int(n_bounces),
-                    "total_time": float(total_time),
-                    "mean_alpha": float(np.mean(alphas)),
-                    "efficiency": float(np.mean(alphas * sq_jumps) / (target.dim * n_bounces)),
-                    "n_reps": int(n_reps),
-                }
-            )
+    cells = list(product(n_bounces_grid, total_time_grid))
+    seeds = np.random.SeedSequence(seed).spawn(len(cells))
+    for (n_bounces, total_time), cell_seed in zip(cells, seeds):
+        # isotropic velocities keep the acceptance a pure log-density
+        # difference in every mode
+        params = HugParams(
+            total_time=float(total_time),
+            n_bounces=int(n_bounces),
+            mode=mode,
+            velocity="isotropic",
+        )
+        rng = np.random.default_rng(cell_seed)
+        steps = list(_exact_start_steps(target, HugKernel(params), n_reps, rng))
+        alphas = np.array([outcome.alpha for _, outcome in steps])
+        sq_jumps = np.array([float(np.sum((outcome.proposal - x0) ** 2)) for x0, outcome in steps])
+        rows.append(
+            {
+                "n_bounces": int(n_bounces),
+                "total_time": float(total_time),
+                "mean_alpha": float(np.mean(alphas)),
+                "efficiency": float(np.mean(alphas * sq_jumps) / (target.dim * n_bounces)),
+                "n_reps": int(n_reps),
+            }
+        )
     return rows
 
 
@@ -661,35 +676,32 @@ def hop_scaling_experiment(
     """ESS(log pi) of hop-only chains over (dim, lambda, kappa).
 
     ``target_template`` is a target spec without the ``dim`` entry.  Each
-    chain runs ``iterations`` sweeps and discards the first fifth
-    (``iterations // 5``).  Returns one row per cell; degenerate cells
-    carry a note instead of an ESS.
+    cell is a :func:`grid_tune` pilot of ``iterations`` sweeps, the first
+    fifth discarded.  Returns one row per cell, also when none scores;
+    degenerate cells carry a note instead of an ESS.
     """
-    rows = []
-    combos = list(product(dims, lam_grid, kappa_grid))
-    seeds = np.random.SeedSequence(seed).spawn(len(combos))
-    for cell_index, (dim, lam, kappa) in enumerate(combos):
-        config = ExperimentConfig(
-            target={**target_template, "dim": int(dim)},
-            kernels=[{"kernel": "hop", "lambda": float(lam), "kappa": float(kappa)}],
-            iterations=int(iterations),
-            burn_in=int(iterations) // 5,
-            record="logpi",
-            seed=seeds[cell_index],
+    grid = {
+        "target.dim": [int(dim) for dim in dims],
+        "kernels.0.lambda": [float(lam) for lam in lam_grid],
+        "kernels.0.kappa": [float(kappa) for kappa in kappa_grid],
+    }
+    config = ExperimentConfig(
+        dict(target_template), [{"kernel": "hop"}], iterations, record="logpi", seed=seed,
+        grid=grid, pilot_iterations=iterations,
+    )
+    cells, run_pilot = _grid_pilots(config)
+    rows = [dict(zip(("dim", "lambda", "kappa"), cell.values())) for cell in cells]
+
+    def describe(summary):
+        return dict(
+            ess_logpi=summary.ess_logpi,
+            ess_logpi_per_1000=summary.ess_logpi_per_1000,
+            acceptance=summary.acceptance.get("hop"),
+            note="; ".join(summary.notes),
         )
-        row = {"dim": int(dim), "lambda": float(lam), "kappa": float(kappa)}
-        try:
-            _, summary = run_chain(config)
-            row.update(
-                ess_logpi=summary.ess_logpi,
-                ess_logpi_per_1000=summary.ess_logpi_per_1000,
-                acceptance=summary.acceptance.get("hop"),
-                note="; ".join(summary.notes),
-            )
-        except (DegenerateSeriesError, ConfigError) as exc:
-            row.update(ess_logpi=np.nan, ess_logpi_per_1000=np.nan, note=str(exc))
-        rows.append(row)
-    return rows
+
+    failed = {"ess_logpi": np.nan, "ess_logpi_per_1000": np.nan}
+    return _pilot_rows(rows, run_pilot, config.seed, describe, failed)
 
 
 def theorem2_experiment(
@@ -702,14 +714,13 @@ def theorem2_experiment(
 ) -> dict:
     """Mean hop acceptance under fresh stationary draws vs. its 2 Phi(-kappa/2) limit.
 
-    The target is a centred Gaussian whose per-component precisions are drawn
-    once from ``precision_law`` (a spec like ``{"dist": "uniform", "low":
-    0.5, "high": 5.0}`` or a callable ``(rng, dim) -> array``).  Every
-    iteration draws a fresh exact sample, proposes one raw-guard hop with
-    :func:`~hughop.hop.hop_propose`, and averages the acceptance
-    probability, whose proposal densities both ways come from
-    :func:`~hughop.hop.hop_log_density`.  The estimate so targets the exact
-    expectation under the stationary law rather than a chain average.
+    The target is a centred :class:`~hughop.targets.GaussianDiag` with
+    scales 1/sqrt(precision), the precisions drawn once from
+    ``precision_law`` (a spec like ``{"dist": "uniform", "low": 0.5, "high":
+    5.0}`` or a callable ``(rng, dim) -> array``).  One raw-guard
+    :class:`~hughop.hop.HopKernel` step is taken from each of ``iterations``
+    exact draws, and the steps' acceptance probabilities are averaged: the
+    exact expectation under the stationary law, not a chain average.
     """
     # imported here so that the sampler path loads no scipy module
     from scipy.special import ndtr
@@ -726,30 +737,19 @@ def theorem2_experiment(
     if np.any(precisions <= 0):
         raise ConfigError("precision_law", "precisions must be positive")
 
-    params = HopParams(lam=float(lam), kappa=float(kappa), guard="raw")
-    # x ~ N(0, P^-1), g = -P x; every x is drawn before the first proposal
-    sd = 1.0 / np.sqrt(precisions)
-    xs = rng.standard_normal((iterations, dim)) * sd
-    log_r = np.empty(iterations)
-    for i, x in enumerate(xs):
-        g_x = -precisions * x
-        y = hop_propose(x, g_x, params, rng)
-        g_y = -precisions * y
-        log_r[i] = (
-            -0.5 * np.sum((y * y - x * x) * precisions)
-            + hop_log_density(y, x, g_y, params)
-            - hop_log_density(x, y, g_x, params)
-        )
-    alphas = np.exp([log_acceptance(r) for r in log_r])
+    target = GaussianDiag(scales=1.0 / np.sqrt(precisions))
+    kernel = HopKernel(HopParams(lam=float(lam), kappa=float(kappa), guard="raw"))
+    steps = _exact_start_steps(target, kernel, iterations, rng)
+    mean_acceptance = float(np.mean([outcome.alpha for _, outcome in steps]))
     limit = 2.0 * ndtr(-kappa / 2.0)
     return {
         "dim": int(dim),
         "lambda": float(lam),
         "kappa": float(kappa),
         "iterations": int(iterations),
-        "mean_acceptance": float(np.mean(alphas)),
+        "mean_acceptance": mean_acceptance,
         "limit": float(limit),
-        "abs_error": float(abs(np.mean(alphas) - limit)),
+        "abs_error": float(abs(mean_acceptance - limit)),
     }
 
 

@@ -10,7 +10,6 @@ sampler and the covariance parameters by an adaptively scaled random walk.
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .baselines import HmcKernel, HmcParams
 from .diagnostics import RunSummary, Trace, min_finite, summarize_run
 from .diagnostics import ess  # noqa: F401  (benchmark tracers patch model_runs.ess by name)
-from .harness import grid_cells, run_kernels, tune_cells
+from .harness import _record_sweeps, grid_cells, run_kernels, tune_cells
 from .hop import HopKernel, HopParams
 from .hug import HugKernel, HugParams
 from .models import (
@@ -206,44 +205,30 @@ def run_gibbs(
     burn_in: int = 0,
     rwm_scale: float = 0.3,
 ) -> tuple[Trace, RunSummary, float]:
-    """Run the Metropolis-within-Gibbs chain and record it as ``run_kernels`` does.
+    """Run the Metropolis-within-Gibbs chain through ``run_kernels``' sweep loop.
 
     During burn-in the theta random-walk scale adapts on a decaying schedule
     towards an acceptance rate of 0.4, then freezes.  Returns the ``Trace``,
     its ``summarize_run`` summary and the frozen scale.  Positions are the
     whitened field then theta; ``log_target`` is the joint log-density, and
-    ``accept`` has one flag array per inner kernel name and ``"theta_rwm"``.
+    ``accept`` has one flag array per entry of ``GibbsSampler.labels``.
     """
     sampler = GibbsSampler(model, inner_kernels, rwm_scale=rwm_scale)
-    state = sampler.init_state()
-    n_rec = sweeps - burn_in
-    positions = np.empty((n_rec, model.total_dim))
-    log_target = np.empty(n_rec)
-    accept: dict[str, np.ndarray] = {}
-    start = time.perf_counter()
 
-    for sweep in range(sweeps):
+    def sweep(it, state):
         state, info = sampler.step(state, rng)
-        if sweep < burn_in and sampler.rwm_scale > 0:
+        if it < burn_in and sampler.rwm_scale > 0:
             # Robbins-Monro on the log scale towards the target rate
-            step = 0.5 / (1.0 + sweep) ** 0.6
+            step = 0.5 / (1.0 + it) ** 0.6
             sampler.rwm_scale *= float(np.exp(step * (float(info["theta_rwm"]) - 0.4)))
-        if sweep >= burn_in:
-            row, z = sweep - burn_in, state.field_state.position
-            positions[row, : model.field_dim] = z
-            positions[row, model.field_dim :] = state.theta
-            log_target[row] = state.field_state.logp + model.theta_log_prior(state.theta)
-            for key, flag in info.items():
-                accept.setdefault(key, np.zeros(n_rec, dtype=bool))[row] = flag
-    wall_time = time.perf_counter() - start
+        return state, info.values()
 
-    trace = Trace(
-        log_target=log_target,
-        positions=positions,
-        accept=accept,
-        wall_time=wall_time,
-        burn_in_fraction=burn_in / sweeps if sweeps else 0.0,
-        iterations=n_rec,
+    def observe(state):
+        field, theta = state.field_state, state.theta
+        return field.logp + model.theta_log_prior(theta), np.concatenate((field.position, theta))
+
+    trace = _record_sweeps(
+        sweep, observe, sampler.init_state(), model.total_dim, sampler.labels, sweeps, burn_in
     )
     return trace, summarize_run(trace), sampler.rwm_scale
 

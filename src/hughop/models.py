@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from .exceptions import FactorizationError
-from .state import ChainState, log_acceptance, metropolis_accept
+from .state import ChainState, kernel_labels, log_acceptance, metropolis_accept
 from .targets import TargetModel
 
 __all__ = [
@@ -454,7 +454,8 @@ class GibbsSampler:
     the current theta is the field state's cached ``logp`` plus the theta
     prior, so a sweep evaluates the field's conditional density once, at the
     proposal, and an accepted proposal keeps that value as the new field
-    state's ``logp``.
+    state's ``logp``.  ``labels`` key a sweep's accept flags: the inner
+    kernels' :func:`~hughop.state.kernel_labels`, then ``"theta_rwm"``.
     """
 
     def __init__(self, model: SpatialProbitModel, inner_kernels, rwm_scale: float = 0.3):
@@ -462,6 +463,7 @@ class GibbsSampler:
             raise ValueError("rwm_scale must be nonnegative")
         self.model = model
         self.inner_kernels = list(inner_kernels)
+        self.labels = [*kernel_labels(self.inner_kernels), "theta_rwm"]
         self.rwm_scale = float(rwm_scale)
 
     def init_state(self) -> GibbsState:
@@ -472,13 +474,13 @@ class GibbsSampler:
         return GibbsState(theta=theta, field_state=ChainState.at(target, np.zeros(target.dim)), a=a)
 
     def step(self, state: GibbsState, rng: np.random.Generator) -> tuple[GibbsState, dict]:
-        """One sweep; returns the new state and per-block acceptance flags."""
+        """One sweep; returns the new state and its accept flags, keyed by ``labels``."""
         target = self.model.conditional_target(state.theta, state.a)
         field_state = state.field_state
         info: dict = {}
-        for kernel in self.inner_kernels:
+        for label, kernel in zip(self.labels, self.inner_kernels):
             field_state, outcome = kernel.step(target, field_state, rng)
-            info[kernel.name] = outcome.accepted
+            info[label] = outcome.accepted
 
         theta = state.theta
         a = state.a

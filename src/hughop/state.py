@@ -161,3 +161,14 @@ class Kernel:
 
     def step(self, target, state, rng):
         return self.step_fn(target, state, self.params, rng)
+
+
+def kernel_labels(kernels) -> list[str]:
+    """The kernels' names, a repeated one with a count: hug, hop, hop2."""
+    labels = []
+    for kernel in kernels:
+        label = kernel.name
+        if label in labels:
+            label = f"{label}{sum(l.startswith(kernel.name) for l in labels) + 1}"
+        labels.append(label)
+    return labels

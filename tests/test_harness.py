@@ -481,9 +481,9 @@ class TestTheorem2:
     @pytest.mark.parametrize(
         "kappa, mean_acceptance, limit",
         [
-            (0.5, "0x1.63438970abd1dp-1", "0x1.9aecba9d22528p-1"),
-            (1.0, "0x1.222ec3f8a7563p-1", "0x1.3bf143b9aa712p-1"),
-            (2.0, "0x1.3fd3fcbe99248p-2", "0x1.44ed0bb7cb20cp-2"),
+            (0.5, "0x1.67f2ce8638453p-1", "0x1.9aecba9d22528p-1"),
+            (1.0, "0x1.247665475fb39p-1", "0x1.3bf143b9aa712p-1"),
+            (2.0, "0x1.43c26c7cc7aa0p-2", "0x1.44ed0bb7cb20cp-2"),
         ],
     )
     def test_floats_are_pinned(self, kappa, mean_acceptance, limit):
