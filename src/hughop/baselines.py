@@ -63,7 +63,8 @@ class RwmParams:
     or ``"hessian"`` (local covariance from the Hessian, with the finite
     positive floor ``eps``).
     A fixed ``cov``, a positive vector or an SPD matrix, is built once into
-    ``metric`` (see :func:`~hughop.metric.fixed_metric`).
+    ``metric`` (see :func:`~hughop.metric.fixed_metric`); ``cov`` with another
+    ``local_cov`` is an error.
     """
 
     step_scale: float
@@ -82,6 +83,8 @@ class RwmParams:
                 raise ValueError("local_cov='fixed' requires cov")
             object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
             object.__setattr__(self, "metric", fixed_metric(self.cov, "cov"))
+        elif self.cov is not None:
+            raise ValueError(f"cov is used with local_cov='fixed' only, not {self.local_cov!r}")
         check_floor(self.eps)
 
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks of config
+numbers that raise :class:`ConfigError`."""
+
+import numpy as np
 
 
 class HugHopError(Exception):
@@ -53,3 +56,19 @@ class ConfigError(HugHopError, ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+
+
+def config_number(value, field: str) -> float:
+    """A config number as a float; anything else raises naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(field, f"must be a number, got {value!r}")
+    return float(value)
+
+
+def config_integer(value, field: str) -> int:
+    """A config integer as an int; a non-integral number is an error, not truncated."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(field, f"must be an integer, got {value!r}")
+    return int(value)

@@ -32,6 +32,8 @@ from .exceptions import (
     DegenerateSeriesError,
     NonFiniteInputError,
     TrajectoryError,
+    config_integer,
+    config_number,
 )
 from .hop import HopKernel, HopParams, default_lam
 from .hug import HugKernel, HugParams, hug_trajectory
@@ -62,25 +64,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _number(value, field: str) -> float:
-    """A config number as a float; anything else raises naming ``field``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ConfigError(field, f"must be a number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, field: str) -> int:
-    """A config integer as an int; a non-integral number is an error, not truncated."""
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(field, f"must be an integer, got {value!r}")
-    return int(value)
-
-
 def _floor(value, field: str) -> float:
     """A metric floor ``eps``: a finite positive number."""
-    eps = _number(value, field)
+    eps = config_number(value, field)
     if not (math.isfinite(eps) and eps > 0):
         raise ConfigError(field, f"must be positive and finite, got {value!r}")
     return eps
@@ -95,8 +81,8 @@ def _flag(value, field: str) -> bool:
 
 def _hug_from_spec(spec: dict, where: str) -> HugKernel:
     kwargs = dict(
-        total_time=_number(spec.pop("T", 1.0), f"{where}.T"),
-        n_bounces=_integer(spec.pop("B", 10), f"{where}.B"),
+        total_time=config_number(spec.pop("T", 1.0), f"{where}.T"),
+        n_bounces=config_integer(spec.pop("B", 10), f"{where}.B"),
         mode=str(spec.pop("mode", "plain")),
         eps=_floor(spec.pop("eps", 1e-6), f"{where}.eps"),
         velocity=str(spec.pop("velocity", "local")),
@@ -109,15 +95,15 @@ def _hop_from_spec(spec: dict, dim: int | None, where: str) -> HopKernel:
     if lam is None:
         lam = default_lam(dim) if dim else 1.0
     kwargs = dict(
-        lam=_number(lam, f"{where}.lambda"),
+        lam=config_number(lam, f"{where}.lambda"),
         use_hessian=_flag(spec.pop("hessian", False), f"{where}.hessian"),
         eps=_floor(spec.pop("eps", 1e-6), f"{where}.eps"),
         guard=str(spec.pop("guard", "plus1")),
     )
     if "mu" in spec:
-        kwargs["mu"] = _number(spec.pop("mu"), f"{where}.mu")
+        kwargs["mu"] = config_number(spec.pop("mu"), f"{where}.mu")
     else:
-        kwargs["kappa"] = _number(spec.pop("kappa", 0.5), f"{where}.kappa")
+        kwargs["kappa"] = config_number(spec.pop("kappa", 0.5), f"{where}.kappa")
     return HopKernel(HopParams(**kwargs))
 
 
@@ -143,22 +129,22 @@ def make_kernel(spec: dict, dim: int | None = None, where: str = "kernel"):
         elif name == "hmc":
             built = HmcKernel(
                 HmcParams(
-                    n_steps=_integer(spec.pop("L", 10), f"{where}.L"),
-                    step_size=_number(spec.pop("step_size", 0.1), f"{where}.step_size"),
+                    n_steps=config_integer(spec.pop("L", 10), f"{where}.L"),
+                    step_size=config_number(spec.pop("step_size", 0.1), f"{where}.step_size"),
                     mass_matrix=spec.pop("mass_matrix", None),
                 )
             )
         elif name == "rwm":
             built = RwmKernel(
                 RwmParams(
-                    step_scale=_number(spec.pop("step_scale", 1.0), f"{where}.step_scale"),
+                    step_scale=config_number(spec.pop("step_scale", 1.0), f"{where}.step_scale"),
                     local_cov=str(spec.pop("local_cov", "none")),
                     cov=spec.pop("cov", None),
                     eps=_floor(spec.pop("eps", 1e-6), f"{where}.eps"),
                 )
             )
         elif name == "mala":
-            step_scale = _number(spec.pop("step_scale", 0.5), f"{where}.step_scale")
+            step_scale = config_number(spec.pop("step_scale", 0.5), f"{where}.step_scale")
             built = MalaKernel(MalaParams(step_scale=step_scale))
         else:
             built = None
@@ -210,24 +196,24 @@ class ExperimentConfig:
             raise ConfigError("target", "must be a mapping")
         if not isinstance(self.kernels, (list, tuple)) or not self.kernels:
             raise ConfigError("kernels", "must be a nonempty list of kernel specs")
-        self.iterations = _integer(self.iterations, "iterations")
+        self.iterations = config_integer(self.iterations, "iterations")
         if self.iterations < 1:
             raise ConfigError("iterations", "must be a positive integer")
-        self.burn_in = _integer(self.burn_in, "burn_in")
+        self.burn_in = config_integer(self.burn_in, "burn_in")
         if self.burn_in < 0:
             raise ConfigError("burn_in", "must be nonnegative")
         if self.burn_in >= self.iterations:
             raise ConfigError("burn_in", "must be less than iterations, or no sweep is recorded")
-        self.thin = _integer(self.thin, "thin")
+        self.thin = config_integer(self.thin, "thin")
         if self.thin < 1:
             raise ConfigError("thin", "must be a positive integer")
         if not isinstance(self.seed, np.random.SeedSequence):
-            self.seed = _integer(self.seed, "seed")
+            self.seed = config_integer(self.seed, "seed")
             if self.seed < 0:
                 raise ConfigError("seed", "must be nonnegative")
         if self.record not in ("full", "logpi"):
             raise ConfigError("record", "must be 'full' or 'logpi'")
-        self.pilot_iterations = _integer(self.pilot_iterations, "pilot_iterations")
+        self.pilot_iterations = config_integer(self.pilot_iterations, "pilot_iterations")
         if self.pilot_iterations < 1:
             raise ConfigError("pilot_iterations", "must be positive")
         if self.objective not in OBJECTIVES:
@@ -265,6 +251,8 @@ class ExperimentConfig:
     def build_target(self) -> TargetModel:
         try:
             return make_target(self.target)
+        except ConfigError:
+            raise
         except (ValueError, TypeError) as exc:
             raise ConfigError("target", str(exc))
 
@@ -430,10 +418,8 @@ def _objective_value(summary: RunSummary, objective) -> float:
         return float(objective(summary))
     if objective == "ess_per_second":
         a, b = summary.min_ess_x_per_sec, summary.ess_logpi_per_sec
-    elif objective == "ess_per_iteration":
-        a, b = summary.min_ess_x_per_1000, summary.ess_logpi_per_1000
     else:
-        raise ConfigError("objective", f"unknown objective {objective!r}")
+        a, b = summary.min_ess_x_per_1000, summary.ess_logpi_per_1000
     if a is None or b is None or not (np.isfinite(a) and np.isfinite(b)):
         return np.nan
     return float(np.sqrt(a * b))
@@ -804,8 +790,8 @@ def append_summary(path, summary: RunSummary, config) -> None:
         handle.write(json.dumps(record, sort_keys=True, default=str) + "\n")
 
 
-def write_rows_csv(path, rows: list[dict], config=None) -> None:
-    """Write a list of dict rows as CSV (config header optional).
+def write_rows_csv(path, rows: list[dict], config) -> None:
+    """Write a list of dict rows as CSV under a config-embedding header.
 
     The columns are every key of every row, in the order each first
     appears; a row without a column leaves its cell empty.
@@ -815,8 +801,7 @@ def write_rows_csv(path, rows: list[dict], config=None) -> None:
         raise ValueError("no rows to write")
     columns = list(dict.fromkeys(key for row in rows for key in row))
     with path.open("w") as handle:
-        if config is not None:
-            handle.write(_config_header(config))
+        handle.write(_config_header(config))
         handle.write(",".join(columns) + "\n")
         for row in rows:
             handle.write(",".join(_format_cell(row.get(c)) for c in columns) + "\n")

@@ -63,7 +63,7 @@ class HugParams:
             ``total_time / n_bounces`` (plain division).
         mode: one of ``plain``, ``precond``, ``hessian``.
         precond_cov: a positive vector or an SPD matrix, required in
-            ``precond`` mode.
+            ``precond`` mode and rejected in the others.
         eps: regularisation floor for the local metric (``hessian`` mode),
             finite and positive.
         velocity: ``local`` draws the velocity from the local covariance,
@@ -92,6 +92,8 @@ class HugParams:
                 raise ValueError("precond mode requires precond_cov")
             object.__setattr__(self, "precond_cov", np.asarray(self.precond_cov, dtype=float))
             object.__setattr__(self, "metric", fixed_metric(self.precond_cov, "precond_cov"))
+        elif self.precond_cov is not None:
+            raise ValueError(f"precond_cov is used in precond mode only, not {self.mode!r}")
         if self.velocity not in ("local", "isotropic"):
             raise ValueError("velocity must be 'local' or 'isotropic'")
         check_floor(self.eps)

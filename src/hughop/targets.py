@@ -21,10 +21,13 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .exceptions import (
+    ConfigError,
     DimensionMismatchError,
     NoExactSamplerError,
     NoHessianError,
     NonFiniteInputError,
+    config_integer,
+    config_number,
 )
 
 __all__ = [
@@ -501,7 +504,10 @@ def make_target(spec: dict) -> TargetModel:
     parameters, e.g. ``{"target": "lg", "a": 5, "scales": "L", "dim": 25}``.
     The 2-D shapes (banana, bimodal, plusprism) accept ``dim > 2``, in which
     case they are embedded with a Gaussian tail; their head parameters are
-    taken from the first two entries of the scale vector.
+    taken from the first two entries of the scale vector.  A ``dim`` that is
+    not a positive integer, or an ``a``, ``b`` or ``separation`` that is not
+    a number, raises :class:`~hughop.exceptions.ConfigError` naming it
+    (``target.dim``); other bad specs raise ``ValueError``.
     """
     spec = dict(spec)
     try:
@@ -509,7 +515,9 @@ def make_target(spec: dict) -> TargetModel:
     except KeyError:
         raise ValueError("target spec needs a 'target' name entry")
     if "dim" in spec:
-        dim = int(spec.pop("dim"))
+        dim = config_integer(spec.pop("dim"), "target.dim")
+        if dim < 1:
+            raise ConfigError("target.dim", f"must be a positive integer, got {dim}")
     elif not isinstance(spec.get("scales", "U"), str):
         dim = len(spec["scales"])
     else:
@@ -520,16 +528,18 @@ def make_target(spec: dict) -> TargetModel:
     if name in ("gauss", "gaussian"):
         built = GaussianDiag(scales=scales)
     elif name == "lg":
-        built = LogisticGaussian(a=float(spec.pop("a", 5.0)), scales=scales)
+        built = LogisticGaussian(a=config_number(spec.pop("a", 5.0), "target.a"), scales=scales)
     elif name == "qg":
-        built = QuarticGaussian(a=float(spec.pop("a", 3.0)), scales=scales)
+        built = QuarticGaussian(a=config_number(spec.pop("a", 3.0), "target.a"), scales=scales)
     elif name in ("banana", "bimodal", "plusprism"):
         if dim < 2:
             raise ValueError(f"{name} needs dim >= 2")
         if name == "banana":
-            head = Banana2D(a=scales[0], c=scales[1], b=float(spec.pop("b", np.sqrt(2.0) / 2.0)))
+            b = config_number(spec.pop("b", np.sqrt(2.0) / 2.0), "target.b")
+            head = Banana2D(a=scales[0], c=scales[1], b=b)
         elif name == "bimodal":
-            head = Bimodal2D(a=scales[0], b=scales[1], separation=float(spec.pop("separation", 3.0)))
+            separation = config_number(spec.pop("separation", 3.0), "target.separation")
+            head = Bimodal2D(a=scales[0], b=scales[1], separation=separation)
         else:
             head = PlusPrism2D(a=scales[0], b=scales[1])
         built = head if dim == 2 else EmbeddedTarget(head, scales[2:])

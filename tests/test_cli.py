@@ -102,6 +102,23 @@ class TestRun:
                                   "precond_cov": [[1, 0], [0, 1]]}]}, "kernels[0]"),
             ("run", {"kernels": [{"kernel": "rwm", "local_cov": "fixed",
                                   "cov": [[1, 0], [0, 1]]}]}, "kernels[0]"),
+            # a fixed covariance that the kernel's mode would ignore
+            ("run", {"kernels": [{"kernel": "hug", "precond_cov": [1, 1, 1]}]}, "kernels[0]"),
+            ("run", {"kernels": [{"kernel": "hug", "mode": "hessian",
+                                  "precond_cov": [1, 1, 1]}]}, "kernels[0]"),
+            ("run", {"kernels": [{"kernel": "rwm", "cov": [1, 1, 1]}]}, "kernels[0]"),
+            ("run", {"kernels": [{"kernel": "rwm", "local_cov": "hessian",
+                                  "cov": [1, 1, 1]}]}, "kernels[0]"),
+            # target numbers are neither truncated nor coerced
+            ("run", {"target": {"target": "gauss", "dim": 2.5}}, "target.dim"),
+            ("run", {"target": {"target": "gauss", "dim": True}}, "target.dim"),
+            ("run", {"target": {"target": "gauss", "dim": "25"}}, "target.dim"),
+            ("run", {"target": {"target": "gauss", "dim": 0}}, "target.dim"),
+            ("run", {"target": {"target": "lg", "dim": 3, "a": "5"}}, "target.a"),
+            ("run", {"target": {"target": "qg", "dim": 3, "a": True}}, "target.a"),
+            ("run", {"target": {"target": "banana", "dim": 3, "b": "1"}}, "target.b"),
+            ("run", {"target": {"target": "bimodal", "dim": 3, "separation": None}},
+             "target.separation"),
         ],
     )
     def test_malformed_value_is_config_error_naming_its_field(

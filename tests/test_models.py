@@ -368,6 +368,28 @@ class TestGibbsRecord:
         assert list(summary.acceptance) == ["hug", "hop", "theta_rwm"]
         assert all(flags.shape == (300,) for flags in trace.accept.values())
 
+    def test_repeated_kernel_names_are_labelled_as_run_kernels_labels_them(self):
+        # two hop kernels far apart in acceptance: each label must carry its
+        # own kernel's flags, which the wrappers see as the steps are taken
+        class Seen:
+            def __init__(self, kernel):
+                self.kernel, self.name, self.flags = kernel, kernel.name, []
+
+            def step(self, target, state, rng):
+                state, outcome = self.kernel.step(target, state, rng)
+                self.flags.append(outcome.accepted)
+                return state, outcome
+
+        hops = [Seen(HopKernel(HopParams(lam=lam, kappa=0.5))) for lam in (0.1, 50.0)]
+        data = simulate_spatial(3, 3, np.log(2.0), np.log(0.2), 1.0, np.random.default_rng(30))
+        trace, summary, _ = run_gibbs(
+            SpatialProbitModel(data), hops, 400, np.random.default_rng(33), burn_in=100
+        )
+        assert list(trace.accept) == ["hop", "hop2", "theta_rwm"]
+        for label, kernel in zip(("hop", "hop2"), hops):
+            np.testing.assert_array_equal(trace.accept[label], kernel.flags[100:])
+        assert summary.acceptance["hop"] > 0.5 > summary.acceptance["hop2"]
+
     def test_fixed_theta_reports_no_theta_ess(self):
         model, (trace, summary, scale) = self._run(rwm_scale=0.0)
         np.testing.assert_array_equal(trace.positions[:, model.field_dim :], 0.0)
