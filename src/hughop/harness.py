@@ -568,8 +568,8 @@ def hug_efficiency_experiment(
 ) -> list[dict]:
     """Proposal-quality sweep over (bounce count, integration time).
 
-    For every grid cell, draws ``n_reps`` exact target samples and applies
-    one hug step to each (:func:`_exact_start_steps`), with an isotropic
+    For every grid cell, draws ``n_reps`` exact target samples, all before
+    the first step, and applies one hug kernel step to each, with an isotropic
     velocity, recording the step's acceptance probability ``alpha`` and the
     squared distance to its proposal.  A step whose trajectory fails scores
     alpha = 0 with its proposal at the start, so a zero jump.  The
